@@ -1,6 +1,6 @@
 //! Figures-on-engine: expands the paper's size sweep ({20..250} variables ×
 //! 10 seeds × all five systems) into batch jobs and runs them on
-//! `weaver-engine`'s work-stealing pool, so every figure table is
+//! `weaver-engine`'s shared-queue pool, so every figure table is
 //! reassembled from one deterministic batch instead of recompiling each
 //! point inline.
 //!
@@ -106,7 +106,7 @@ impl SizeSweep {
             outcomes.insert(*key, outcome);
         }
 
-        // Phase 2 — the FPQA baselines on the same work-stealing pool.
+        // Phase 2 — the FPQA baselines on the same shared-queue pool.
         let baseline_systems = [CompilerId::Atomique, CompilerId::Dpqa, CompilerId::Geyser];
         let mut items = Vec::new();
         for &size in &suite.sizes {

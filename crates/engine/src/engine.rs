@@ -1,4 +1,4 @@
-//! The batch engine: drives [`CompileJob`]s through the work-stealing pool,
+//! The batch engine: drives [`CompileJob`]s through the shared-queue pool,
 //! consults the artifact cache, contains per-job panics, and reports
 //! structured results.
 
@@ -106,7 +106,6 @@ impl BatchReport {
             .u64("wal_replayed", self.tier_stats.wal_replayed)
             .u64("recoveries", self.tier_stats.recoveries)
             .u64("buffer_evictions", self.tier_stats.buffer_evictions)
-            .u64("migrated_legacy", self.tier_stats.migrated_legacy)
             .finish();
         let core = JsonObject::new()
             .u64("checker_hits", self.core_stats.checker_hits)
@@ -339,56 +338,60 @@ impl Engine {
     pub(crate) fn run_job(&self, index: usize, job: CompileJob) -> JobResult {
         let total_start = Instant::now();
         let name = job.name();
-        let target = job.target.clone();
         let mut timings = StageTimings::default();
         // The job span lives on the worker thread, so the per-pass spans
         // the compiler emits nest under it via the thread-local stack.
         let mut job_span = span::span("job", name.clone())
             .with_arg("index", index)
-            .with_arg("target", target.name());
-
-        let workload = match load_workload(&job.source, job.frontend.as_deref()) {
-            Ok(w) => w,
-            Err(e) => {
-                timings.parse_seconds = total_start.elapsed().as_secs_f64();
-                timings.total_seconds = timings.parse_seconds;
-                job_span.set_arg("outcome", "error");
-                self.metrics.record("error", timings.total_seconds);
-                return JobResult {
-                    index,
-                    name,
-                    target,
-                    key: String::new(),
-                    cache: CacheOutcome::Bypass,
-                    timings,
-                    artifact: Err(e),
-                };
-            }
+            .with_arg("target", job.target.name());
+        let (key, cache, artifact) = self.resolve_job(&job, &mut timings, total_start);
+        timings.total_seconds = total_start.elapsed().as_secs_f64();
+        let outcome = if artifact.is_err() {
+            "error"
+        } else {
+            cache.name()
         };
-        timings.parse_seconds = total_start.elapsed().as_secs_f64();
+        job_span.set_arg("outcome", outcome);
+        self.metrics.record(outcome, timings.total_seconds);
+        JobResult {
+            index,
+            name,
+            target: job.target,
+            key,
+            cache,
+            timings,
+            artifact,
+        }
+    }
+
+    /// The stages of [`Engine::run_job`] up to its result: returns the hex
+    /// artifact key (empty if the workload did not load), the cache
+    /// outcome and the artifact, and fills the parse, compile and check
+    /// times.
+    fn resolve_job(
+        &self,
+        job: &CompileJob,
+        timings: &mut StageTimings,
+        start: Instant,
+    ) -> (String, CacheOutcome, Result<Arc<Artifact>, JobError>) {
+        let workload = load_workload(&job.source, job.frontend.as_deref());
+        timings.parse_seconds = start.elapsed().as_secs_f64();
+        let workload = match workload {
+            Ok(w) => w,
+            Err(e) => return (String::new(), CacheOutcome::Bypass, Err(e)),
+        };
 
         let key = job.artifact_key(&workload);
         if self.config.use_cache {
             if let Some((artifact, outcome)) = self.cache.lookup(&key) {
-                timings.total_seconds = total_start.elapsed().as_secs_f64();
-                job_span.set_arg("outcome", outcome.name());
-                self.metrics.record(outcome.name(), timings.total_seconds);
-                return JobResult {
-                    index,
-                    name,
-                    target,
-                    key: key.to_hex(),
-                    cache: outcome,
-                    timings,
-                    artifact: Ok(artifact),
-                };
+                return (key.to_hex(), outcome, Ok(artifact));
             }
         }
 
         let compile_start = Instant::now();
         let compiled = catch_unwind(AssertUnwindSafe(|| {
             compile_job(
-                &job,
+                job,
                 &workload,
                 self.config.use_cache.then(|| self.cache.core_handle()),
             )
@@ -415,32 +418,17 @@ impl Engine {
                 })
             }
         };
-        timings.total_seconds = total_start.elapsed().as_secs_f64();
         let cache = if self.config.use_cache {
             CacheOutcome::Miss
         } else {
             CacheOutcome::Bypass
         };
-        let outcome = if artifact.is_err() {
-            "error"
-        } else {
-            cache.name()
-        };
-        job_span.set_arg("outcome", outcome);
-        self.metrics.record(outcome, timings.total_seconds);
-        JobResult {
-            index,
-            name,
-            target,
-            key: key.to_hex(),
-            cache,
-            timings,
-            artifact,
-        }
+        (key.to_hex(), cache, artifact)
     }
 }
 
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic payload (`&str` or `String`), for reports.
+pub(crate) fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -672,23 +660,36 @@ mod tests {
 
     #[test]
     fn unusable_disk_dir_degrades_and_reports_in_jsonl() {
+        let pid = std::process::id();
         // A disk dir nested under a regular file can never be created.
-        let file = std::env::temp_dir().join(format!("weaver-notadir-{}", std::process::id()));
+        let file = std::env::temp_dir().join(format!("weaver-notadir-{pid}"));
         std::fs::write(&file, "x").unwrap();
-        let e = Engine::new(EngineConfig {
-            jobs: 1,
-            cache: CacheConfig {
-                disk_dir: Some(file.join("cache")),
-                ..CacheConfig::default()
-            },
-            ..EngineConfig::default()
-        });
-        let report = e.run(batch(1));
-        assert_eq!(report.succeeded(), 1, "memory-only fallback still works");
-        let record = report.batch_record();
-        assert!(record.contains("\"disk_disabled\":true"), "{record}");
-        assert!(record.contains("\"disk_disabled_reason\":"), "{record}");
+        // A store another holder has open cannot be shared.
+        let held_dir = std::env::temp_dir().join(format!("weaver-held-{pid}"));
+        let _ = std::fs::remove_dir_all(&held_dir);
+        std::fs::create_dir_all(&held_dir).unwrap();
+        let holder =
+            crate::store::Store::open(&held_dir, crate::store::StoreTuning::default()).unwrap();
+        for (disk_dir, reason) in [(file.join("cache"), ""), (held_dir.clone(), "already open")] {
+            let e = Engine::new(EngineConfig {
+                jobs: 1,
+                cache: CacheConfig {
+                    disk_dir: Some(disk_dir),
+                    ..CacheConfig::default()
+                },
+                ..EngineConfig::default()
+            });
+            let report = e.run(batch(1));
+            assert_eq!(report.succeeded(), 1, "memory-only fallback still works");
+            assert!(e.cache().store_stats().is_none(), "no disk tier");
+            let record = report.batch_record();
+            assert!(record.contains("\"disk_disabled\":true"), "{record}");
+            assert!(record.contains("\"disk_disabled_reason\":"), "{record}");
+            assert!(record.contains(reason), "{record}");
+        }
+        drop(holder);
         let _ = std::fs::remove_file(&file);
+        let _ = std::fs::remove_dir_all(&held_dir);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! * [`job`] — the job model: a [`CompileJob`] is *workload source ×
 //!   target × options*, and a [`JobResult`] carries the artifact, cache
 //!   outcome, and per-stage timings,
-//! * [`pool`] — a work-stealing thread-pool driver with deterministic,
-//!   order-independent results,
+//! * [`pool`] — shared-queue thread pools: a batch driver with
+//!   deterministic, order-independent results and the daemon's bounded
+//!   persistent pool,
 //! * [`cache`] — the content-addressed [`ArtifactCache`]: an in-memory LRU
-//!   tier plus an optional on-disk tier, keyed by BLAKE2s-256 over the
+//!   tier plus an optional paged on-disk store, keyed by BLAKE2s-256 over the
 //!   canonical formula, target parameters, options, and compiler version;
 //!   it also owns the shared [`weaver_core::cache::CacheHandle`] so checker
 //!   re-runs reuse cached per-annotation device state,
@@ -58,3 +59,10 @@ pub use job::{
 };
 pub use manifest::discover_jobs;
 pub use server::{ClientStream, ListenAddr, Server, ServerConfig};
+
+/// Locks a mutex, recovering the guard if a panicking holder poisoned it:
+/// every mutex in this crate guards state (queues, maps, counters, the
+/// store handle) that stays structurally valid across a payload panic.
+pub(crate) fn lock_poison_ok<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -1,28 +1,24 @@
-//! A work-stealing thread-pool driver for batch jobs.
+//! The engine's thread pools, both built on one shared queue.
 //!
-//! Jobs are seeded round-robin into per-worker deques; an idle worker pops
-//! from the front of its own deque and, when empty, steals from the back of
-//! the fullest other deque. Because no job spawns further jobs, "every
-//! deque empty" is a stable termination condition. Results land in a slot
-//! array indexed by submission order, so the output is deterministic and
-//! independent of scheduling, thread count, and completion order.
+//! No job spawns further jobs, so one shared queue balances load as well
+//! as per-worker deques with stealing would, with one lock instead of one
+//! per worker.
 //!
-//! [`run_jobs`] is the one-shot batch driver; [`ServicePool`] is its
-//! long-lived sibling for the daemon: the same per-worker deques and
-//! stealing discipline, but workers persist across submissions, the queue
-//! is bounded (backpressure instead of unbounded growth), and
-//! [`ServicePool::drain`] finishes queued work before the threads exit.
+//! [`run_jobs`] is the one-shot batch driver: scoped workers claim the next
+//! job index from one atomic counter, and results land in submission order,
+//! so the output is deterministic and independent of scheduling, thread
+//! count, and completion order.
+//!
+//! [`ServicePool`] is its long-lived sibling for the daemon: workers persist
+//! across submissions and pop from one bounded queue guarded by one mutex
+//! and one condvar, the bound gives backpressure instead of unbounded
+//! growth, and [`ServicePool::drain`] finishes queued work before the
+//! threads exit.
 
+use crate::lock_poison_ok;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
-
-/// Locks a mutex, recovering the guard if a panicking holder poisoned it —
-/// pool queues stay structurally valid across a payload panic.
-fn lock_poison_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Runs every item of `items` through `run` on `workers` threads and
 /// returns the results in submission order. `workers` is clamped to
@@ -47,73 +43,52 @@ where
             .collect();
     }
 
-    // Round-robin seeding keeps the initial load balanced; stealing fixes
-    // whatever imbalance job runtimes introduce.
-    let queues: Vec<Mutex<VecDeque<(usize, T)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        lock_poison_ok(&queues[i % workers]).push_back((i, item));
-    }
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let results = &results;
-            let run = &run;
-            // Named threads give trace spans (and debuggers) a stable
-            // worker identity: spans recorded on this thread report
-            // `weaver-worker-<n>` as their thread name.
-            std::thread::Builder::new()
-                .name(format!("weaver-worker-{me}"))
-                .spawn_scoped(scope, move || loop {
-                    // Own deque first (front), then steal (back of the
-                    // fullest).
-                    let next = lock_poison_ok(&queues[me]).pop_front();
-                    let (index, item) = match next.or_else(|| steal(queues, me)) {
-                        Some(job) => job,
-                        None => {
-                            // Must happen inside the closure: the scope
-                            // unblocks before this thread's TLS destructors
-                            // run, so a drop-time flush could lose the last
-                            // buffered spans to a caller draining the trace
-                            // right after the batch returns.
-                            weaver_obs::span::flush_thread();
-                            return;
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|me| {
+                let (slots, next, run) = (&slots, &next, &run);
+                // Named threads give trace spans (and debuggers) a stable
+                // worker identity: spans recorded on this thread report
+                // `weaver-worker-<n>` as their thread name.
+                std::thread::Builder::new()
+                    .name(format!("weaver-worker-{me}"))
+                    .spawn_scoped(scope, move || {
+                        let mut done = Vec::new();
+                        loop {
+                            let index = next.fetch_add(1, Ordering::Relaxed);
+                            if index >= n {
+                                // Must happen inside the closure: the scope
+                                // unblocks before this thread's TLS
+                                // destructors run, so a drop-time flush
+                                // could lose the last buffered spans to a
+                                // caller draining the trace right after the
+                                // batch returns.
+                                weaver_obs::span::flush_thread();
+                                return done;
+                            }
+                            let item = lock_poison_ok(&slots[index])
+                                .take()
+                                .expect("each index is claimed once");
+                            done.push((index, run(index, item)));
                         }
-                    };
-                    let result = run(index, item);
-                    *lock_poison_ok(&results[index]) = Some(result);
-                })
-                .expect("spawn batch worker");
-        }
+                    })
+                    .expect("spawn batch worker")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
+            })
+            .collect()
     });
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every job ran exactly once")
-        })
-        .collect()
-}
-
-/// Steals one job from the back of the fullest deque other than `me`.
-fn steal<T>(queues: &[Mutex<VecDeque<(usize, T)>>], me: usize) -> Option<(usize, T)> {
-    let mut victim: Option<usize> = None;
-    let mut longest = 0usize;
-    for (w, queue) in queues.iter().enumerate() {
-        if w == me {
-            continue;
-        }
-        let len = lock_poison_ok(queue).len();
-        if len > longest {
-            longest = len;
-            victim = Some(w);
-        }
-    }
-    lock_poison_ok(&queues[victim?]).pop_back()
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -130,30 +105,28 @@ pub enum SubmitError<T> {
     ShuttingDown(T),
 }
 
+/// The queue and the stop flag live under one lock, so a submit racing a
+/// drain is either accepted before the stop (and serviced) or refused.
+struct Queue<T> {
+    items: VecDeque<T>,
+    stop: bool,
+}
+
 struct ServiceInner<T> {
-    queues: Vec<Mutex<VecDeque<T>>>,
-    /// Items pushed but not yet popped by a worker (the bounded quantity).
-    queued: AtomicUsize,
+    queue: Mutex<Queue<T>>,
     bound: usize,
-    rr: AtomicUsize,
-    stop: AtomicBool,
-    /// Wakes idle workers on submit and drain. The gate mutex carries no
-    /// data: `queued`/`stop` are re-checked under it so a notify between
-    /// check and wait cannot be missed.
-    gate: Mutex<()>,
+    /// Wakes idle workers on submit and drain.
     available: Condvar,
 }
 
-/// A long-lived work-stealing pool: `workers` persistent threads service a
-/// bounded multi-queue of submitted items. Same stealing discipline as
-/// [`run_jobs`]; unlike it, the pool outlives any one batch, so the daemon
-/// keeps its caches hot across requests.
+/// A long-lived pool: `workers` persistent threads service one bounded
+/// shared queue. Unlike [`run_jobs`], the pool outlives any one batch, so
+/// the daemon keeps its caches hot across requests.
 ///
 /// Results travel through whatever channel the `run` closure captures (the
 /// server hands each item a reply sender) — the pool itself only schedules.
 pub struct ServicePool<T> {
     inner: Arc<ServiceInner<T>>,
-    run: Arc<dyn Fn(T) + Send + Sync>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -165,92 +138,66 @@ impl<T: Send + 'static> ServicePool<T> {
     where
         F: Fn(T) + Send + Sync + 'static,
     {
-        let workers = workers.max(1);
         let inner = Arc::new(ServiceInner {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
+            queue: Mutex::new(Queue {
+                items: VecDeque::new(),
+                stop: false,
+            }),
             bound: bound.max(1),
-            rr: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            gate: Mutex::new(()),
             available: Condvar::new(),
         });
-        let run: Arc<dyn Fn(T) + Send + Sync> = Arc::new(run);
-        let mut handles = Vec::with_capacity(workers);
-        for me in 0..workers {
-            let inner = inner.clone();
-            let run = run.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("weaver-service-{me}"))
-                .spawn(move || service_worker(me, &inner, &*run))
-                .expect("spawn service worker");
-            handles.push(handle);
-        }
+        let run = Arc::new(run);
+        let handles = (0..workers.max(1))
+            .map(|me| {
+                let (inner, run) = (inner.clone(), run.clone());
+                std::thread::Builder::new()
+                    .name(format!("weaver-service-{me}"))
+                    .spawn(move || service_worker(&inner, &*run))
+                    .expect("spawn service worker")
+            })
+            .collect();
         ServicePool {
             inner,
-            run,
             handles: Mutex::new(handles),
         }
     }
+}
 
+impl<T> ServicePool<T> {
     /// Enqueues `item`, or returns it inside a [`SubmitError`] when the
     /// pool is at its bound or draining.
     pub fn submit(&self, item: T) -> Result<(), SubmitError<T>> {
-        if self.inner.stop.load(Ordering::SeqCst) {
+        let mut queue = lock_poison_ok(&self.inner.queue);
+        if queue.stop {
             return Err(SubmitError::ShuttingDown(item));
         }
-        // Reserve a queue slot before pushing so concurrent submitters
-        // cannot overshoot the bound.
-        let mut depth = self.inner.queued.load(Ordering::SeqCst);
-        loop {
-            if depth >= self.inner.bound {
-                return Err(SubmitError::Full(item));
-            }
-            match self.inner.queued.compare_exchange(
-                depth,
-                depth + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(current) => depth = current,
-            }
+        if queue.items.len() >= self.inner.bound {
+            return Err(SubmitError::Full(item));
         }
-        let w = self.inner.rr.fetch_add(1, Ordering::Relaxed) % self.inner.queues.len();
-        lock_poison_ok(&self.inner.queues[w]).push_back(item);
-        let _gate = lock_poison_ok(&self.inner.gate);
+        queue.items.push_back(item);
+        drop(queue);
         self.inner.available.notify_one();
         Ok(())
     }
 
     /// Items queued but not yet picked up by a worker.
     pub fn queue_depth(&self) -> usize {
-        self.inner.queued.load(Ordering::SeqCst)
+        lock_poison_ok(&self.inner.queue).items.len()
     }
 
     /// Whether [`ServicePool::drain`] has started.
     pub fn is_draining(&self) -> bool {
-        self.inner.stop.load(Ordering::SeqCst)
+        lock_poison_ok(&self.inner.queue).stop
     }
 
     /// Stops accepting new work, finishes everything already queued, and
     /// joins the worker threads. Idempotent.
     pub fn drain(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        {
-            let _gate = lock_poison_ok(&self.inner.gate);
-            self.inner.available.notify_all();
-        }
+        lock_poison_ok(&self.inner.queue).stop = true;
+        self.inner.available.notify_all();
         let handles = std::mem::take(&mut *lock_poison_ok(&self.handles));
         for handle in handles {
             let _ = handle.join();
-        }
-        // A submit racing the shutdown can slip an item in after the
-        // workers observed empty queues and exited; run it inline so every
-        // accepted item is serviced.
-        while let Some(item) = pop_any(&self.inner.queues) {
-            self.inner.queued.fetch_sub(1, Ordering::SeqCst);
-            (self.run)(item);
         }
     }
 }
@@ -259,74 +206,40 @@ impl<T> Drop for ServicePool<T> {
     fn drop(&mut self) {
         // Workers hold `Arc<ServiceInner>`, so without a drain they would
         // outlive the handle and idle forever.
-        self.inner.stop.store(true, Ordering::SeqCst);
-        {
-            let _gate = lock_poison_ok(&self.inner.gate);
-            self.inner.available.notify_all();
-        }
-        let handles = std::mem::take(&mut *lock_poison_ok(&self.handles));
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.drain();
     }
 }
 
-fn service_worker<T>(me: usize, inner: &ServiceInner<T>, run: &(dyn Fn(T) + Send + Sync)) {
+/// Pops and runs items until the pool stops and the queue is empty.
+fn service_worker<T>(inner: &ServiceInner<T>, run: &dyn Fn(T)) {
     loop {
-        let next = lock_poison_ok(&inner.queues[me])
-            .pop_front()
-            .or_else(|| steal_service(&inner.queues, me));
-        match next {
-            Some(item) => {
-                inner.queued.fetch_sub(1, Ordering::SeqCst);
-                run(item);
+        let mut queue = lock_poison_ok(&inner.queue);
+        let item = loop {
+            if let Some(item) = queue.items.pop_front() {
+                break item;
             }
-            None => {
-                if inner.stop.load(Ordering::SeqCst) {
-                    // Flush buffered trace spans before the thread exits
-                    // (same reasoning as the batch workers above).
-                    weaver_obs::span::flush_thread();
-                    return;
-                }
-                let gate = lock_poison_ok(&inner.gate);
-                if inner.queued.load(Ordering::SeqCst) == 0 && !inner.stop.load(Ordering::SeqCst) {
-                    // Timeout is a backstop against a lost wakeup, not the
-                    // scheduling mechanism.
-                    let _ = inner
-                        .available
-                        .wait_timeout(gate, Duration::from_millis(100));
-                }
+            if queue.stop {
+                drop(queue);
+                // Flush buffered trace spans before the thread exits (same
+                // reasoning as the batch workers above).
+                weaver_obs::span::flush_thread();
+                return;
             }
-        }
+            queue = inner
+                .available
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+        drop(queue);
+        run(item);
     }
-}
-
-/// Steals one item from the back of the fullest deque other than `me`.
-fn steal_service<T>(queues: &[Mutex<VecDeque<T>>], me: usize) -> Option<T> {
-    let mut victim: Option<usize> = None;
-    let mut longest = 0usize;
-    for (w, queue) in queues.iter().enumerate() {
-        if w == me {
-            continue;
-        }
-        let len = lock_poison_ok(queue).len();
-        if len > longest {
-            longest = len;
-            victim = Some(w);
-        }
-    }
-    lock_poison_ok(&queues[victim?]).pop_back()
-}
-
-/// Pops one item from any non-empty deque.
-fn pop_any<T>(queues: &[Mutex<VecDeque<T>>]) -> Option<T> {
-    queues.iter().find_map(|q| lock_poison_ok(q).pop_front())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn results_are_in_submission_order() {
@@ -388,7 +301,7 @@ mod tests {
             let release = release.clone();
             ServicePool::new(1, 2, move |_item: usize| {
                 while release.load(Ordering::SeqCst) == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    std::thread::sleep(Duration::from_millis(5));
                 }
             })
         };
@@ -418,7 +331,7 @@ mod tests {
         let pool = {
             let done = done.clone();
             ServicePool::new(2, 128, move |_item: usize| {
-                std::thread::sleep(std::time::Duration::from_millis(2));
+                std::thread::sleep(Duration::from_millis(2));
                 done.fetch_add(1, Ordering::SeqCst);
             })
         };
@@ -433,14 +346,63 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_queued_jobs() {
-        // Job 0 pins worker 0 for 300 ms. Jobs 2,4,6,8 sit behind it in
-        // worker 0's deque, so they can only finish before job 0 does if
-        // the other worker steals them.
+    fn service_pool_survives_bursts_from_many_idle_workers() {
+        // Several workers go idle between every burst, which is when
+        // per-worker queues with stealing could take two queue locks in
+        // opposite orders and deadlock. The pool lives on the driver
+        // thread: a wedged pool is never joined, so a failure cannot hang
+        // the test binary.
+        const WORKERS: usize = 4;
+        const BURSTS: usize = 100_000;
+        let progress = Arc::new(AtomicUsize::new(0));
+        let (finished_tx, finished) = mpsc::channel();
+        let driver = {
+            let progress = progress.clone();
+            std::thread::spawn(move || {
+                let pool = ServicePool::new(WORKERS, 64, |reply: mpsc::Sender<()>| {
+                    let _ = reply.send(());
+                });
+                for _ in 0..BURSTS {
+                    let (reply, replies) = mpsc::channel();
+                    for _ in 0..WORKERS {
+                        pool.submit(reply.clone()).expect("bound holds a burst");
+                    }
+                    for _ in 0..WORKERS {
+                        replies.recv().expect("every burst item replies");
+                    }
+                    progress.fetch_add(1, Ordering::Relaxed);
+                }
+                pool.drain();
+                let _ = finished_tx.send(());
+            })
+        };
+        let mut last = 0;
+        loop {
+            match finished.recv_timeout(Duration::from_secs(5)) {
+                Ok(()) => break,
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    let now = progress.load(Ordering::Relaxed);
+                    assert!(
+                        now > last,
+                        "pool wedged: no burst completed in 5 s ({now} of {BURSTS} done)"
+                    );
+                    last = now;
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        driver.join().expect("driver thread");
+        assert_eq!(progress.load(Ordering::Relaxed), BURSTS);
+    }
+
+    #[test]
+    fn idle_worker_drains_the_queue_behind_a_slow_job() {
+        // Job 0 pins one worker for 300 ms; the other worker must finish
+        // every job queued behind it before job 0 returns.
         let done = AtomicUsize::new(0);
         let observed = run_jobs((0..9).collect::<Vec<usize>>(), 2, |i, _| {
             if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(300));
+                std::thread::sleep(Duration::from_millis(300));
                 done.load(Ordering::SeqCst)
             } else {
                 done.fetch_add(1, Ordering::SeqCst);
@@ -449,7 +411,7 @@ mod tests {
         });
         assert_eq!(
             observed[0], 8,
-            "all queued jobs must have been stolen and finished while job 0 slept"
+            "all queued jobs must have finished on the idle worker while job 0 slept"
         );
     }
 }

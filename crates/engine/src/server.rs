@@ -29,11 +29,11 @@
 //! tiers, [`crate::store::StoreStats`] introspection, queue depth, and a
 //! full Prometheus metrics snapshot.
 
-use crate::engine::job_record_fields;
+use crate::engine::{job_record_fields, panic_message};
 use crate::job::{CompileJob, JobSource, Target};
 use crate::jsonl::{JsonObject, JsonValue};
 use crate::pool::{ServicePool, SubmitError};
-use crate::Engine;
+use crate::{lock_poison_ok, Engine};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -339,19 +339,12 @@ struct Queued {
 
 struct Shared {
     engine: Engine,
-    draining: AtomicBool,
     shutdown: Arc<AtomicBool>,
     seq: AtomicU64,
     conns: Mutex<HashMap<u64, Stream>>,
     metrics: ServerMetrics,
     panic_verb: bool,
     queue_bound: usize,
-}
-
-/// Locks a mutex, recovering from a poisoned guard (the maps it protects
-/// stay structurally valid across a handler panic).
-fn lock_poison_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The compile daemon: owns the engine, the bounded worker pool, and the
@@ -375,7 +368,6 @@ impl Server {
         let workers = engine.workers();
         let shared = Arc::new(Shared {
             engine,
-            draining: AtomicBool::new(false),
             shutdown: Arc::new(AtomicBool::new(false)),
             seq: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
@@ -480,7 +472,6 @@ impl Server {
         // stream out through the per-connection writers), then unblock the
         // readers so the connection threads exit.
         log::info("weaver-server", "draining");
-        self.shared.draining.store(true, Ordering::SeqCst);
         self.pool.drain();
         for conn in lock_poison_ok(&self.shared.conns).values() {
             let _ = conn.shutdown_read();
@@ -556,7 +547,7 @@ fn handle_connection(
                 "weaver-server",
                 &format!(
                     "connection {conn_id} handler panicked (contained): {}",
-                    panic_text(&panic)
+                    panic_message(&panic)
                 ),
             );
         }
@@ -569,16 +560,6 @@ fn handle_connection(
     lock_poison_ok(&shared.conns).remove(&conn_id);
     shared.metrics.connections_active.add(-1.0);
     span::flush_thread();
-}
-
-fn panic_text(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
-    }
 }
 
 /// Reads frames until the client closes, a framing error, or shutdown
@@ -622,11 +603,7 @@ fn serve_frames(
             }
             Some("ping") => {
                 shared.metrics.count_verb("ping");
-                let mut pong = JsonObject::new().str("kind", "pong");
-                if let Some(id) = id {
-                    pong = pong.u64("id", id);
-                }
-                let _ = reply.send(pong.finish());
+                let _ = reply.send(response("pong", id).finish());
             }
             Some("stats") => {
                 shared.metrics.count_verb("stats");
@@ -635,11 +612,7 @@ fn serve_frames(
             Some("shutdown") => {
                 shared.metrics.count_verb("shutdown");
                 shared.shutdown.store(true, Ordering::SeqCst);
-                let mut ack = JsonObject::new().str("kind", "shutting-down");
-                if let Some(id) = id {
-                    ack = ack.u64("id", id);
-                }
-                let _ = reply.send(ack.finish());
+                let _ = reply.send(response("shutting-down", id).finish());
             }
             Some("panic") if shared.panic_verb => {
                 panic!("panic verb (test instrumentation)");
@@ -705,14 +678,6 @@ fn handle_compile(
         .get("emit")
         .and_then(JsonValue::as_bool)
         .unwrap_or(false);
-    if shared.draining.load(Ordering::SeqCst) {
-        let _ = reply.send(error_record(
-            Some(id),
-            "shutting-down",
-            "server is draining",
-        ));
-        return;
-    }
     let queued = Queued {
         id,
         index: shared.seq.fetch_add(1, Ordering::Relaxed) as usize,
@@ -774,12 +739,18 @@ fn job_options(request: &JsonValue) -> crate::JobOptions {
     options
 }
 
-fn error_record(id: Option<u64>, kind: &str, message: &str) -> String {
-    let mut record = JsonObject::new().str("kind", "error");
-    if let Some(id) = id {
-        record = record.u64("id", id);
+/// Starts a response record: its `kind`, then the request `id` if the
+/// request carried one.
+fn response(kind: &str, id: Option<u64>) -> JsonObject {
+    let record = JsonObject::new().str("kind", kind);
+    match id {
+        Some(id) => record.u64("id", id),
+        None => record,
     }
-    record
+}
+
+fn error_record(id: Option<u64>, kind: &str, message: &str) -> String {
+    response("error", id)
         .str("error_kind", kind)
         .str("error", message)
         .finish()
@@ -795,7 +766,6 @@ fn stats_record(shared: &Shared, pool: &ServicePool<Queued>, id: Option<u64>) ->
         .u64("misses", tier.misses)
         .u64("evictions", tier.evictions)
         .u64("disk_write_errors", tier.disk_write_errors)
-        .u64("migrated_legacy", tier.migrated_legacy)
         .finish();
     let store = match shared.engine.cache().store_stats() {
         Some(s) => JsonObject::new()
@@ -816,15 +786,11 @@ fn stats_record(shared: &Shared, pool: &ServicePool<Queued>, id: Option<u64>) ->
         None => "null".to_string(),
     };
     shared.metrics.queue_depth.set(pool.queue_depth() as f64);
-    let mut record = JsonObject::new().str("kind", "stats");
-    if let Some(id) = id {
-        record = record.u64("id", id);
-    }
-    record
+    response("stats", id)
         .u64("queue_depth", pool.queue_depth() as u64)
         .u64("queue_bound", shared.queue_bound as u64)
         .u64("workers", shared.engine.workers() as u64)
-        .bool("draining", shared.draining.load(Ordering::SeqCst))
+        .bool("draining", pool.is_draining())
         .raw("cache", &cache)
         .raw("store", &store)
         .str("metrics", &metrics::snapshot())

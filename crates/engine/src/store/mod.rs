@@ -45,6 +45,7 @@ pub mod format;
 pub mod pager;
 pub mod wal;
 
+use crate::lock_poison_ok;
 use fault::FaultState;
 use format::{PageScan, PageState, PageView};
 use pager::{BufferPool, PageFile};
@@ -258,7 +259,7 @@ enum Liveness {
     /// No probe is possible (non-Linux, or `/proc` not mounted). Treated
     /// as *live*: wrongly stealing a live holder's lock races the WAL and
     /// corrupts the store, while wrongly respecting a dead holder's lock
-    /// merely degrades this opener to the legacy tier.
+    /// merely degrades this opener to a memory-only cache.
     Unknown,
 }
 
@@ -301,9 +302,7 @@ impl DirLock {
         let canonical = dir.canonicalize()?;
         let lock_path = dir.join(LOCK_FILE);
         {
-            let mut held = locked_dirs()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut held = lock_poison_ok(locked_dirs());
             if held.contains(&canonical) {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::WouldBlock,
@@ -314,37 +313,27 @@ impl DirLock {
                 // An unparseable file was not written by a weaver store
                 // holder — steal it below, same as a dead holder's.
                 if let Ok(pid) = text.trim().parse::<u32>() {
-                    match probe_pid(pid) {
-                        Liveness::Alive => {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::WouldBlock,
-                                format!(
-                                    "store at {} is locked by live process {pid}",
-                                    dir.display()
-                                ),
-                            ));
-                        }
+                    let holder = match probe_pid(pid) {
+                        Liveness::Alive => Some(format!("live process {pid}")),
                         Liveness::Unknown => {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::WouldBlock,
-                                format!(
-                                    "store at {} is locked by process {pid} \
-                                     (liveness unknown; assuming live)",
-                                    dir.display()
-                                ),
-                            ));
+                            Some(format!("process {pid} (liveness unknown; assuming live)"))
                         }
-                        // Provably dead: reclaim the stale lock below.
-                        Liveness::Dead => {
-                            weaver_obs::log::debug(
-                                "weaver-store",
-                                &format!(
-                                    "reclaiming stale lock at {} left by dead process {pid}",
-                                    lock_path.display()
-                                ),
-                            );
-                        }
+                        Liveness::Dead => None,
+                    };
+                    if let Some(holder) = holder {
+                        return Err(std::io::Error::new(
+                            std::io::ErrorKind::WouldBlock,
+                            format!("store at {} is locked by {holder}", dir.display()),
+                        ));
                     }
+                    // Provably dead: reclaim the stale lock below.
+                    weaver_obs::log::debug(
+                        "weaver-store",
+                        &format!(
+                            "reclaiming stale lock at {} left by dead process {pid}",
+                            lock_path.display()
+                        ),
+                    );
                 }
             }
             std::fs::write(&lock_path, format!("{}\n", std::process::id()))?;
@@ -360,10 +349,7 @@ impl DirLock {
 impl Drop for DirLock {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.lock_path);
-        locked_dirs()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&self.dir);
+        lock_poison_ok(locked_dirs()).remove(&self.dir);
     }
 }
 

@@ -8,7 +8,7 @@
 //! global lock. Parent/child nesting is tracked per thread: a span entered
 //! while another is open on the same thread becomes its child, which is
 //! exactly how per-pass spans nest under their per-job span on a
-//! work-stealing pool worker.
+//! shared-queue pool worker.
 //!
 //! Tracing is off by default. Disabled, [`span`] is a single relaxed
 //! atomic load and returns an inert guard — no timestamp, no allocation,

@@ -40,7 +40,7 @@
 //! `sc:grid:4x5`, minted on demand. Circuit workloads compile on
 //! circuit-capable targets only (simulator, superconducting, `sc:*`).
 //! Batch mode compiles a whole fixture directory or manifest through
-//! `weaver-engine`: jobs run on a work-stealing pool, finished artifacts
+//! `weaver-engine`: jobs run on a shared-queue pool, finished artifacts
 //! land in a content-addressed cache, and results stream as JSONL (each
 //! successful record carrying the per-pass timing trace). `weaverc
 //! submit` is the client half of the `weaverd` compile daemon: workloads
@@ -845,15 +845,19 @@ fn run_batch(args: &Args) -> ExitCode {
             job.frontend = Some(name.clone());
         }
     }
-    let engine = match Engine::try_new(EngineConfig {
+    let config = EngineConfig {
         jobs: args.jobs,
         cache: CacheConfig {
             disk_dir: args.cache_dir.as_ref().map(Into::into),
             ..CacheConfig::default()
         },
         use_cache: args.use_cache,
-    }) {
+    };
+    let engine = match Engine::try_new(config.clone()) {
         Ok(engine) => engine,
+        // Another live process holds the store: run memory-only and report
+        // `disk_disabled`, the way `weaverd` does.
+        Err(e) if weaver::engine::store::is_locked(&e) => Engine::new(config),
         Err(e) => return error_line("io", &format!("cannot open cache dir: {e}")),
     };
     if let Some(dir) = &args.out_dir {
@@ -870,7 +874,11 @@ fn run_batch(args: &Args) -> ExitCode {
         if engine.workers() == 1 { "" } else { "s" },
         if !args.use_cache {
             "off".to_string()
-        } else if let Some(dir) = &args.cache_dir {
+        } else if let Some(dir) = args
+            .cache_dir
+            .as_ref()
+            .filter(|_| engine.cache().store_stats().is_some())
+        {
             format!("memory + disk at {dir}")
         } else {
             "memory".to_string()

@@ -537,3 +537,38 @@ fn batch_reports_per_job_failures_and_exits_nonzero() {
     assert!(stderr.contains("1/2 succeeded"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn batch_on_a_held_store_runs_memory_only() {
+    use weaver::engine::store::{Store, StoreTuning};
+    let dir = std::env::temp_dir().join(format!("weaverc_batch_held_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    std::fs::write(
+        dir.join("uf10.cnf"),
+        weaver::sat::dimacs::to_string(&weaver::sat::generator::instance(10, 1)),
+    )
+    .unwrap();
+    // This (live) test process holds the store for the whole child run.
+    let holder = Store::open(&cache, StoreTuning::default()).unwrap();
+    let out = weaverc()
+        .args([
+            "batch",
+            dir.to_str().unwrap(),
+            "--cache-dir",
+            cache.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    drop(holder);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let summary = stdout.lines().last().unwrap();
+    assert!(summary.contains("\"succeeded\":1"), "{summary}");
+    assert!(summary.contains("\"disk_disabled\":true"), "{summary}");
+    assert!(summary.contains("locked by live process"), "{summary}");
+    assert!(stderr.contains("(cache: memory)"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

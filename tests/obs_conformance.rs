@@ -1,5 +1,5 @@
 //! Conformance tests for the `weaver-obs` observability layer (ISSUE 8
-//! acceptance criteria): span nesting across the work-stealing pool with
+//! acceptance criteria): span nesting across the shared-queue pool with
 //! worker-thread attribution, Chrome-trace export shape (validated with a
 //! hand-written mini JSON parser — no serde in this workspace), metrics
 //! snapshot round-trips, disabled-tracing overhead, and a differential

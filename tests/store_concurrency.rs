@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use weaver::core::cache::{Digest, Fingerprint};
 use weaver::core::Metrics;
-use weaver::engine::cache::DiskFormat;
 use weaver::engine::store::StoreTuning;
 use weaver::engine::{ArtifactCache, CacheConfig, CacheOutcome, PassTiming};
 
@@ -86,7 +85,6 @@ fn open_cache(dir: &std::path::Path) -> ArtifactCache {
         // A tiny memory tier forces most lookups through to disk.
         memory_capacity: 2,
         disk_dir: Some(dir.to_path_buf()),
-        disk_format: DiskFormat::Paged,
         store: StoreTuning {
             page_size: 256,
             buffer_pages: 8,
