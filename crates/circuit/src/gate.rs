@@ -173,10 +173,19 @@ impl Gate {
 
     /// The rotation/phase parameters of the gate, if any.
     pub fn params(&self) -> Vec<f64> {
+        let (params, n) = self.param_array();
+        params[..n].to_vec()
+    }
+
+    /// The parameters without allocating: the first `n` entries of the
+    /// array are [`Gate::params`], the rest are zero.
+    pub fn param_array(&self) -> ([f64; 3], usize) {
         match *self {
-            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::P(t) | Gate::Crz(t) => vec![t],
-            Gate::U3(t, p, l) => vec![t, p, l],
-            _ => Vec::new(),
+            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::P(t) | Gate::Crz(t) => {
+                ([t, 0.0, 0.0], 1)
+            }
+            Gate::U3(t, p, l) => ([t, p, l], 3),
+            _ => ([0.0; 3], 0),
         }
     }
 }

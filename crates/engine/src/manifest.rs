@@ -122,7 +122,9 @@ fn parse_manifest(
             };
             let parse_f64 = |v: &str| -> Result<f64, String> {
                 v.parse()
-                    .map_err(|_| at(format!("bad number `{v}` for {key}")))
+                    .ok()
+                    .filter(|x: &f64| x.is_finite())
+                    .ok_or_else(|| at(format!("bad number `{v}` for {key}")))
             };
             match key {
                 "target" => target = Target::parse(value).map_err(at)?,
@@ -270,6 +272,26 @@ mod tests {
         std::fs::write(&manifest, "ok.cnf\nbad.cnf target=ion-trap\n").unwrap();
         let err = discover_jobs(&manifest, Target::Fpqa, &JobOptions::default()).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_with_line_numbers() {
+        let dir = scratch_dir("nonfinite");
+        let manifest = dir.join("nonfinite.manifest");
+        for (field, value) in [
+            ("gamma", "NaN"),
+            ("beta", "inf"),
+            ("ccz-fidelity", "-infinity"),
+        ] {
+            std::fs::write(&manifest, format!("ok.cnf\na.cnf {field}={value}\n")).unwrap();
+            let err = discover_jobs(&manifest, Target::Fpqa, &JobOptions::default()).unwrap_err();
+            assert!(err.contains("line 2"), "{err}");
+            assert!(
+                err.contains(&format!("bad number `{value}` for {field}")),
+                "{err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

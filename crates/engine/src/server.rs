@@ -177,7 +177,12 @@ impl ClientStream {
                 UnixStream::connect(path).map(|s| ClientStream(Stream::Unix(s)))
             }
             ListenAddr::Tcp(a) => {
-                TcpStream::connect(a.as_str()).map(|s| ClientStream(Stream::Tcp(s)))
+                let stream = TcpStream::connect(a.as_str())?;
+                // Frames go out as two writes (length, payload); without
+                // NODELAY, Nagle holds the payload until the peer's
+                // delayed ACK, about 40 ms per frame.
+                stream.set_nodelay(true)?;
+                Ok(ClientStream(Stream::Tcp(stream)))
             }
         }
     }
@@ -258,6 +263,8 @@ impl Listener {
             }
             Listener::Tcp(l) => {
                 let (stream, peer) = l.accept()?;
+                // See `ClientStream::connect`: replies are two-write frames.
+                stream.set_nodelay(true)?;
                 Ok((Stream::Tcp(stream), peer.to_string()))
             }
         }

@@ -147,7 +147,9 @@ pub fn program_to_circuit(program: &Program) -> Result<Circuit, ConvertError> {
 }
 
 /// Lifts a circuit to a plain OpenQASM [`Program`] over a single register
-/// `q` (and classical register `c` if the circuit measures).
+/// `q` (and classical register `c` if the circuit measures). To print a
+/// circuit, [`crate::print_circuit`] writes the same text without building
+/// the program.
 pub fn circuit_to_program(circuit: &Circuit) -> Program {
     let mut prog = Program::new();
     prog.statements.push(Statement::QregDecl {

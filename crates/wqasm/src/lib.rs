@@ -14,7 +14,8 @@
 //! | `@raman global\|local …` | single-qubit rotation pulses |
 //! | `@rydberg` | global entangling pulse (CZ/CCZ) |
 //!
-//! The crate provides the [`lexer`], [`parser`](parse), [`printer`](print()),
+//! The crate provides the [`lexer`], [`parser`](parse), printers for
+//! programs ([`print()`]) and circuits ([`print_circuit`]),
 //! [`ast`], static [`semantics`] validation of the Table-1 pre-conditions,
 //! and [`convert`] to/from the `weaver-circuit` IR.
 //!
@@ -40,4 +41,6 @@ pub mod semantics;
 
 pub use ast::{Annotation, BindTarget, Program, QubitRef, ShuttleAxis, Statement};
 pub use parser::{parse, ParseError};
-pub use printer::print;
+#[doc(hidden)]
+pub use printer::print_reference;
+pub use printer::{print, print_circuit};

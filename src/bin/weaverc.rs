@@ -251,7 +251,11 @@ fn parse_args() -> Result<Args, String> {
         it.next().ok_or(format!("missing value for {flag}"))
     };
     let number = |v: String, flag: &str| -> Result<f64, String> {
-        v.parse().map_err(|e| format!("bad {flag}: {e}"))
+        match v.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            Ok(_) => Err(format!("bad {flag}: `{v}` is not a finite number")),
+            Err(e) => Err(format!("bad {flag}: {e}")),
+        }
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {

@@ -402,6 +402,43 @@ fn failures_emit_one_line_structured_errors() {
     assert!(stderr.contains("weaverc: error: parse:"), "{stderr}");
 }
 
+#[test]
+fn non_finite_options_are_rejected_before_compiling() {
+    let cnf = format!("{}/uf20-01.cnf", fixtures_dir());
+    for (flag, value) in [
+        ("--gamma", "inf"),
+        ("--beta", "NaN"),
+        ("--ccz-fidelity", "-inf"),
+    ] {
+        let out = weaverc().args([&cnf, flag, value]).output().unwrap();
+        assert!(!out.status.success(), "{flag} {value} must be refused");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad {flag}: `{value}` is not a finite number")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("internal compiler error"), "{stderr}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("weaverc_nonfinite_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(&cnf, dir.join("a.cnf")).unwrap();
+    let manifest = dir.join("nan.manifest");
+    std::fs::write(&manifest, "a.cnf\na.cnf gamma=NaN\n").unwrap();
+    let out = weaverc()
+        .args(["batch", manifest.to_str().unwrap(), "--jobs", "1"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 2: bad number `NaN` for gamma"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("internal compiler error"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn fixtures_dir() -> String {
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures").to_string()
 }

@@ -432,3 +432,41 @@ fn drain_mid_flood_finishes_accepted_work() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn sequential_tcp_pings_do_not_stall_per_frame() {
+    let (addr, flag, handle) = start(ServerConfig {
+        engine: EngineConfig {
+            jobs: 1,
+            cache: CacheConfig::default(),
+            use_cache: true,
+        },
+        queue_bound: 8,
+        panic_verb: false,
+        ..ServerConfig::new(ListenAddr::Tcp("127.0.0.1:0".to_string()))
+    });
+
+    // One request outstanding at a time on one connection: each frame is
+    // a length write then a payload write, which Nagle plus delayed ACK
+    // would hold for about 40 ms apiece (2 s for 50) without TCP_NODELAY.
+    let mut stream = ClientStream::connect(&addr).expect("connect over tcp");
+    let ping = JsonObject::new().str("verb", "ping").finish();
+    let started = std::time::Instant::now();
+    for _ in 0..50 {
+        write_frame(&mut stream, ping.as_bytes()).expect("send ping");
+        let frame = read_frame(&mut stream)
+            .expect("receive pong")
+            .expect("server closed mid-ping");
+        let record = JsonValue::parse(std::str::from_utf8(&frame).unwrap()).unwrap();
+        assert_eq!(record.str_field("kind"), Some("pong"));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "50 sequential TCP pings took {elapsed:?}"
+    );
+
+    drop(stream);
+    flag.store(true, Ordering::SeqCst);
+    handle.join().unwrap().expect("clean drain");
+}
