@@ -226,8 +226,13 @@ impl FpqaCompiler for Dpqa {
             layout: weaver_core::plan::SiteLayout::for_default_params(),
             measure: false,
         };
-        let compiled =
-            codegen::compile_formula_with_coloring(formula, &self.params, &options, coloring);
+        let compiled = codegen::compile_formula_with_coloring_cached(
+            formula,
+            &self.params,
+            &options,
+            coloring,
+            None,
+        );
 
         Ok(BaselineOutput::from_schedule(
             self.name(),

@@ -3,24 +3,26 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use weaver_baselines::{Atomique, Dpqa, FpqaCompiler, Geyser};
-use weaver_core::Weaver;
+use weaver_core::{Weaver, Workload};
 use weaver_fpqa::FpqaParams;
 use weaver_sat::generator;
-use weaver_superconducting::CouplingMap;
 
 fn bench_compilation_uf20(c: &mut Criterion) {
     let f = generator::instance(20, 1);
+    let workload = Workload::MaxSat(f.clone());
     let params = FpqaParams::default();
     let mut group = c.benchmark_group("fig8a_compile_uf20");
     group.sample_size(10);
     group.bench_function("weaver", |b| {
         let w = Weaver::new();
-        b.iter(|| w.compile_fpqa(&f))
+        b.iter(|| w.compile_workload_cached("fpqa", &workload, None).unwrap())
     });
     group.bench_function("superconducting", |b| {
         let w = Weaver::new();
-        let coupling = CouplingMap::ibm_washington();
-        b.iter(|| w.compile_superconducting(&f, &coupling))
+        b.iter(|| {
+            w.compile_workload_cached("superconducting", &workload, None)
+                .unwrap()
+        })
     });
     group.bench_function("atomique", |b| {
         let a = Atomique::new(params.clone());
@@ -41,10 +43,10 @@ fn bench_weaver_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8b_weaver_scaling");
     group.sample_size(10);
     for size in [20usize, 50, 75, 100] {
-        let f = generator::instance(size, 1);
+        let f = Workload::MaxSat(generator::instance(size, 1));
         group.bench_with_input(BenchmarkId::from_parameter(size), &f, |b, f| {
             let w = Weaver::new();
-            b.iter(|| w.compile_fpqa(f))
+            b.iter(|| w.compile_workload_cached("fpqa", f, None).unwrap())
         });
     }
     group.finish();

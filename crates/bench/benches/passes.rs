@@ -7,7 +7,7 @@ use weaver_core::coloring::{
     color_clauses, conflict_graph, conflict_graph_reference, dsatur, dsatur_reference,
     greedy_first_fit,
 };
-use weaver_core::{checker, CodegenOptions, Weaver};
+use weaver_core::{checker, CodegenOptions, CompiledArtifact, Weaver, Workload};
 use weaver_fpqa::FpqaParams;
 use weaver_sat::generator;
 
@@ -42,11 +42,16 @@ fn bench_checker(c: &mut Criterion) {
     let mut group = c.benchmark_group("wchecker");
     group.sample_size(10);
     for size in [8usize, 20, 50] {
-        let f = generator::instance(size, 1);
-        let out = Weaver::new().compile_fpqa(&f);
+        let f = Workload::MaxSat(generator::instance(size, 1));
+        let out = Weaver::new()
+            .compile_workload_cached("fpqa", &f, None)
+            .unwrap();
+        let CompiledArtifact::Fpqa(compiled) = &out.artifact else {
+            panic!("fpqa emits FPQA artifacts");
+        };
         group.bench_with_input(
             BenchmarkId::from_parameter(size),
-            &out.compiled.program,
+            &compiled.program,
             |b, p| b.iter(|| checker::check(p, &FpqaParams::default(), None)),
         );
     }
@@ -54,7 +59,7 @@ fn bench_checker(c: &mut Criterion) {
 }
 
 fn bench_ablations(c: &mut Criterion) {
-    let f = generator::instance(20, 1);
+    let f = Workload::MaxSat(generator::instance(20, 1));
     let mut group = c.benchmark_group("ablation_compile");
     group.sample_size(10);
     let configs = [
@@ -83,7 +88,9 @@ fn bench_ablations(c: &mut Criterion) {
     ];
     for (name, options) in configs {
         let w = Weaver::new().with_options(options);
-        group.bench_function(name, |b| b.iter(|| w.compile_fpqa(&f)));
+        group.bench_function(name, |b| {
+            b.iter(|| w.compile_workload_cached("fpqa", &f, None).unwrap())
+        });
     }
     group.finish();
 }

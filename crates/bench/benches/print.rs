@@ -8,14 +8,14 @@
 //! old-vs-new gap.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use weaver_core::{CompiledArtifact, Weaver};
+use weaver_core::{CompiledArtifact, Weaver, Workload};
 use weaver_sat::generator;
 use weaver_wqasm::convert::circuit_to_program;
 
 fn compile(target: &str, vars: usize) -> CompiledArtifact {
-    let formula = generator::instance(vars, 1);
+    let formula = Workload::MaxSat(generator::instance(vars, 1));
     Weaver::new()
-        .compile_target(target, &formula)
+        .compile_workload_cached(target, &formula, None)
         .unwrap_or_else(|e| panic!("{target} compile of {vars} variables: {e:?}"))
         .artifact
 }

@@ -483,8 +483,8 @@ fn metric_vs_size(
 /// Ablation summary (DESIGN.md §6): DSatur vs first-fit, compression
 /// on/off, parallel shuttling on/off — at 20 variables.
 pub fn ablation(suite: &Suite) -> String {
-    use weaver_core::CodegenOptions;
-    let f = generator::instance(20, 1);
+    use weaver_core::{CodegenOptions, Workload};
+    let f = Workload::MaxSat(generator::instance(20, 1));
     let configs: Vec<(&str, CodegenOptions)> = vec![
         ("full wOptimizer", CodegenOptions::default()),
         (
@@ -514,7 +514,9 @@ pub fn ablation(suite: &Suite) -> String {
         let weaver = Weaver::new()
             .with_fpqa_params(suite.params.clone())
             .with_options(options);
-        let out = weaver.compile_fpqa(&f);
+        let out = weaver
+            .compile_workload_cached("fpqa", &f, None)
+            .expect("fpqa accepts every formula");
         rows.push(vec![
             name.to_string(),
             sci(out.metrics.compilation_seconds),

@@ -5,7 +5,7 @@
 //! superconducting backend holds 127 qubits).
 
 use weaver_baselines::{Atomique, Dpqa, FpqaCompiler, Geyser};
-use weaver_core::{Metrics, Weaver};
+use weaver_core::{Metrics, Weaver, Workload};
 use weaver_fpqa::FpqaParams;
 use weaver_sat::{generator, Formula};
 
@@ -78,23 +78,16 @@ impl RunOutcome {
 
 /// Runs one system on one formula with the paper's applicability rules.
 /// Weaver and the superconducting baseline dispatch through the shared
-/// backend registry ([`Weaver::compile_target`]); the FPQA baselines keep
-/// their own [`FpqaCompiler`] interface.
+/// backend registry ([`Weaver::compile_workload_cached`]); the FPQA
+/// baselines keep their own [`FpqaCompiler`] interface.
 pub fn run_compiler(id: CompilerId, formula: &Formula, params: &FpqaParams) -> RunOutcome {
     match id {
-        CompilerId::Weaver => {
-            let weaver = Weaver::new().with_fpqa_params(params.clone());
-            match weaver.compile_target("fpqa", formula) {
-                Ok(out) => RunOutcome::Done(out.metrics),
-                Err(e) => RunOutcome::NotApplicable(e.message),
-            }
-        }
-        CompilerId::Superconducting => {
-            match Weaver::new().compile_target("superconducting", formula) {
-                Ok(out) => RunOutcome::Done(out.metrics),
-                Err(e) => RunOutcome::NotApplicable(e.message),
-            }
-        }
+        CompilerId::Weaver => run_target(
+            &Weaver::new().with_fpqa_params(params.clone()),
+            "fpqa",
+            formula,
+        ),
+        CompilerId::Superconducting => run_target(&Weaver::new(), "superconducting", formula),
         CompilerId::Atomique => match Atomique::new(params.clone()).compile(formula) {
             Ok(out) => RunOutcome::Done(out.metrics),
             Err(t) => RunOutcome::TimedOut(t.to_string()),
@@ -107,6 +100,13 @@ pub fn run_compiler(id: CompilerId, formula: &Formula, params: &FpqaParams) -> R
             Ok(out) => RunOutcome::Done(out.metrics),
             Err(t) => RunOutcome::TimedOut(t.to_string()),
         },
+    }
+}
+
+fn run_target(weaver: &Weaver, target: &str, formula: &Formula) -> RunOutcome {
+    match weaver.compile_workload_cached(target, &Workload::MaxSat(formula.clone()), None) {
+        Ok(out) => RunOutcome::Done(out.metrics),
+        Err(e) => RunOutcome::NotApplicable(e.message),
     }
 }
 

@@ -60,19 +60,19 @@ impl SizeSweep {
 
         // Phase 1 — Weaver and the superconducting baseline as engine jobs.
         let engine_systems = [
-            (CompilerId::Weaver, Target::Fpqa),
-            (CompilerId::Superconducting, Target::Superconducting),
+            (CompilerId::Weaver, "fpqa"),
+            (CompilerId::Superconducting, "superconducting"),
         ];
         let mut jobs = Vec::new();
         let mut keys = Vec::new();
         for &size in &suite.sizes {
             for variant in 1..=suite.variants {
-                for (id, target) in engine_systems.iter().cloned() {
+                for (id, target) in engine_systems {
                     let mut job = CompileJob::from_formula(
                         generator::instance_name(size, variant),
                         generator::instance(size, variant),
                     );
-                    job.target = target;
+                    job.target = Target::parse(target).expect("core targets are registered");
                     job.options.ccz_fidelity = Some(suite.params.fidelity_ccz);
                     jobs.push(job);
                     keys.push((id, size, variant));

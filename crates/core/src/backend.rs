@@ -308,7 +308,7 @@ pub struct SimulatorRun {
 #[derive(Clone, Debug)]
 pub struct CompileOutput {
     /// Primary name of the backend that produced this output, so dispatch
-    /// sites (e.g. [`Weaver::verify_output`]) can route back to the
+    /// sites (e.g. [`Weaver::verify_workload`]) can route back to the
     /// producing backend's hooks without re-deriving it from the artifact.
     /// Owned because device-family backends (`sc:grid:3x4`) are minted at
     /// resolution time.
@@ -1123,7 +1123,7 @@ impl BackendRegistry {
     }
 
     /// The process-wide shared registry of default targets, used by every
-    /// dispatch site ([`Weaver::compile_target`], the batch engine,
+    /// dispatch site ([`Weaver::compile_workload_cached`], the batch engine,
     /// `weaverc`, the benchmark harness).
     pub fn global() -> &'static BackendRegistry {
         static GLOBAL: OnceLock<BackendRegistry> = OnceLock::new();

@@ -290,16 +290,18 @@ struct CacheInner {
 ///
 /// ```
 /// use weaver_core::cache::CacheHandle;
-/// use weaver_core::Weaver;
+/// use weaver_core::{Weaver, Workload};
 /// use weaver_sat::generator;
 ///
 /// let cache = CacheHandle::new();
 /// let weaver = Weaver::new();
-/// let f = generator::instance(20, 1);
-/// let out = weaver.compile_fpqa_cached(&f, Some(&cache));
+/// let f = Workload::MaxSat(generator::instance(20, 1));
+/// let out = weaver.compile_workload_cached("fpqa", &f, Some(&cache)).unwrap();
 /// // First verification records the device trace, the second replays it.
-/// assert!(weaver.verify_cached(&out, &f, Some(&cache)).passed());
-/// assert!(weaver.verify_cached(&out, &f, Some(&cache)).passed());
+/// for _ in 0..2 {
+///     let report = weaver.verify_workload(&out, &f, Some(&cache)).unwrap();
+///     assert!(report.passed());
+/// }
 /// assert_eq!(cache.stats().checker_hits, 1);
 /// ```
 #[derive(Clone, Default)]

@@ -735,7 +735,7 @@ fn check_raman_global(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codegen::{compile_formula, CodegenOptions};
+    use crate::codegen::{compile_formula_with_coloring_cached, CodegenOptions};
     use weaver_sat::{qaoa::QaoaParams, Clause, Formula, Lit};
 
     fn small_formula() -> Formula {
@@ -748,13 +748,18 @@ mod tests {
         )
     }
 
+    fn emit(f: &Formula, opts: &CodegenOptions) -> crate::codegen::CompiledFpqa {
+        let coloring = crate::coloring::color_clauses(f);
+        compile_formula_with_coloring_cached(f, &FpqaParams::default(), opts, coloring, None)
+    }
+
     fn compile(measure: bool) -> (Formula, crate::codegen::CompiledFpqa) {
         let f = small_formula();
         let opts = CodegenOptions {
             measure,
             ..CodegenOptions::default()
         };
-        let out = compile_formula(&f, &FpqaParams::default(), &opts);
+        let out = emit(&f, &opts);
         (f, out)
     }
 
@@ -777,7 +782,7 @@ mod tests {
             measure: false,
             ..CodegenOptions::default()
         };
-        let out = compile_formula(&f, &FpqaParams::default(), &opts);
+        let out = emit(&f, &opts);
         let reference = weaver_sat::qaoa::build_circuit(&f, &QaoaParams::default(), false);
         let report = check(&out.program, &FpqaParams::default(), Some(&reference));
         assert!(report.passed(), "{:?}", report.errors);

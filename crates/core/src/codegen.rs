@@ -75,38 +75,8 @@ pub struct CompiledFpqa {
     pub steps: u64,
 }
 
-/// Compiles a Max-3SAT formula to an annotated wQasm program for an FPQA
-/// backend.
-///
-/// # Panics
-///
-/// Panics if the internal device simulation rejects an emitted annotation —
-/// that is a compiler bug by construction, not a user error.
-pub fn compile_formula(
-    formula: &Formula,
-    params: &FpqaParams,
-    options: &CodegenOptions,
-) -> CompiledFpqa {
-    compile_formula_cached(formula, params, options, None)
-}
-
-/// Like [`compile_formula`], but consulting `cache` for memoized per-clause
-/// execution plans (shared across QAOA layers and across batch jobs that
-/// repeat a clause under the same options and layout). The emitted program
-/// is byte-identical with and without a cache.
-pub fn compile_formula_cached(
-    formula: &Formula,
-    params: &FpqaParams,
-    options: &CodegenOptions,
-    cache: Option<&CacheHandle>,
-) -> CompiledFpqa {
-    let coloring = select_coloring(formula, options);
-    compile_formula_with_coloring_cached(formula, params, options, coloring, cache)
-}
-
 /// The coloring policy the options select: DSatur, or first-fit greedy for
-/// the ablation. Single source of truth shared by [`compile_formula_cached`]
-/// and the backend pass pipeline.
+/// the ablation. Single source of truth for the backend pass pipeline.
 pub(crate) fn select_coloring(formula: &Formula, options: &CodegenOptions) -> ClauseColoring {
     if options.dsatur {
         color_clauses(formula)
@@ -115,25 +85,20 @@ pub(crate) fn select_coloring(formula: &Formula, options: &CodegenOptions) -> Cl
     }
 }
 
-/// Like [`compile_formula`], but with an externally supplied clause
-/// coloring (used e.g. by the DPQA baseline, which spends exponential
-/// search on an exactly optimal coloring).
+/// Compiles a Max-3SAT formula to an annotated wQasm program for an FPQA
+/// backend, under a given clause coloring (the FPQA backend's
+/// `clause-coloring` pass, or e.g. the DPQA baseline's exactly optimal
+/// one), consulting `cache` for memoized per-clause execution plans
+/// (shared across QAOA layers and across batch jobs that repeat a clause
+/// under the same options and layout). The emitted program is
+/// byte-identical with and without a cache.
 ///
 /// # Panics
 ///
 /// Panics if the coloring is invalid for the formula (adjacent clauses
 /// sharing a color) — the emitter's device simulation would reject the
-/// resulting overlapping interaction sites.
-pub fn compile_formula_with_coloring(
-    formula: &Formula,
-    params: &FpqaParams,
-    options: &CodegenOptions,
-    coloring: ClauseColoring,
-) -> CompiledFpqa {
-    compile_formula_with_coloring_cached(formula, params, options, coloring, None)
-}
-
-/// [`compile_formula_with_coloring`] with an optional clause-plan cache.
+/// resulting overlapping interaction sites. Any other rejection of an
+/// emitted annotation is a compiler bug by construction, not a user error.
 pub fn compile_formula_with_coloring_cached(
     formula: &Formula,
     params: &FpqaParams,
@@ -805,6 +770,20 @@ mod tests {
         )
     }
 
+    fn compile(formula: &Formula, params: &FpqaParams, options: &CodegenOptions) -> CompiledFpqa {
+        compile_cached(formula, params, options, None)
+    }
+
+    fn compile_cached(
+        formula: &Formula,
+        params: &FpqaParams,
+        options: &CodegenOptions,
+        cache: Option<&CacheHandle>,
+    ) -> CompiledFpqa {
+        let coloring = select_coloring(formula, options);
+        compile_formula_with_coloring_cached(formula, params, options, coloring, cache)
+    }
+
     fn options(measure: bool) -> CodegenOptions {
         CodegenOptions {
             measure,
@@ -815,7 +794,7 @@ mod tests {
     #[test]
     fn compiles_paper_example() {
         let f = paper_formula();
-        let out = compile_formula(&f, &FpqaParams::default(), &options(true));
+        let out = compile(&f, &FpqaParams::default(), &options(true));
         assert_eq!(out.coloring.num_colors, 2);
         assert!(out.schedule.pulse_count() > 0);
         assert!(out.program.pulse_count() > 0);
@@ -832,7 +811,7 @@ mod tests {
     #[test]
     fn logical_circuit_matches_qaoa_reference() {
         let f = paper_formula();
-        let out = compile_formula(&f, &FpqaParams::default(), &options(false));
+        let out = compile(&f, &FpqaParams::default(), &options(false));
         let reference = weaver_sat::qaoa::build_circuit(&f, &QaoaParams::default(), false);
         let e = equiv::compare(&out.logical.unitary(), &reference.unitary(), 1e-8);
         assert!(e.is_equivalent(), "{e:?}");
@@ -846,12 +825,12 @@ mod tests {
             measure: false,
             ..CodegenOptions::default()
         };
-        let out = compile_formula(&f, &FpqaParams::default(), &opts);
+        let out = compile(&f, &FpqaParams::default(), &opts);
         let reference = weaver_sat::qaoa::build_circuit(&f, &QaoaParams::default(), false);
         let e = equiv::compare(&out.logical.unitary(), &reference.unitary(), 1e-8);
         assert!(e.is_equivalent(), "{e:?}");
         // Ladder mode spends far more Rydberg pulses.
-        let compressed = compile_formula(&f, &FpqaParams::default(), &options(false));
+        let compressed = compile(&f, &FpqaParams::default(), &options(false));
         let count = |o: &CompiledFpqa| {
             o.schedule
                 .ops()
@@ -865,7 +844,7 @@ mod tests {
     #[test]
     fn emitted_program_parses_and_validates() {
         let f = paper_formula();
-        let out = compile_formula(&f, &FpqaParams::default(), &options(true));
+        let out = compile(&f, &FpqaParams::default(), &options(true));
         let text = weaver_wqasm::print(&out.program);
         let reparsed = weaver_wqasm::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         let errors = weaver_wqasm::semantics::validate(&reparsed, &Default::default());
@@ -875,13 +854,13 @@ mod tests {
     #[test]
     fn parallel_shuttling_reduces_shuttle_ops() {
         let f = generator::instance(20, 1);
-        let par = compile_formula(&f, &FpqaParams::default(), &options(false));
+        let par = compile(&f, &FpqaParams::default(), &options(false));
         let seq_opts = CodegenOptions {
             parallel_shuttling: false,
             measure: false,
             ..CodegenOptions::default()
         };
-        let seq = compile_formula(&f, &FpqaParams::default(), &seq_opts);
+        let seq = compile(&f, &FpqaParams::default(), &seq_opts);
         let shuttles = |o: &CompiledFpqa| {
             o.schedule
                 .ops()
@@ -904,7 +883,7 @@ mod tests {
     #[test]
     fn uf20_compiles_clean() {
         let f = generator::instance(20, 1);
-        let out = compile_formula(&f, &FpqaParams::default(), &options(true));
+        let out = compile(&f, &FpqaParams::default(), &options(true));
         assert!(out.schedule.duration(&FpqaParams::default()) > 0.0);
         assert_eq!(out.program.num_qubits(), 20);
         // Rydberg pulse count: 4 per color per layer.
@@ -923,9 +902,9 @@ mod tests {
         let opts = options(true);
         let params = FpqaParams::default();
         let cache = crate::cache::CacheHandle::new();
-        let plain = compile_formula(&f, &params, &opts);
-        let cold = compile_formula_cached(&f, &params, &opts, Some(&cache));
-        let warm = compile_formula_cached(&f, &params, &opts, Some(&cache));
+        let plain = compile(&f, &params, &opts);
+        let cold = compile_cached(&f, &params, &opts, Some(&cache));
+        let warm = compile_cached(&f, &params, &opts, Some(&cache));
         let text = |o: &CompiledFpqa| weaver_wqasm::print(&o.program);
         assert_eq!(text(&plain), text(&cold));
         assert_eq!(text(&plain), text(&warm));
@@ -944,7 +923,7 @@ mod tests {
                 Clause::new(vec![Lit::pos(2)]),
             ],
         );
-        let out = compile_formula(&f, &FpqaParams::default(), &options(false));
+        let out = compile(&f, &FpqaParams::default(), &options(false));
         let reference = weaver_sat::qaoa::build_circuit(&f, &QaoaParams::default(), false);
         let e = equiv::compare(&out.logical.unitary(), &reference.unitary(), 1e-8);
         assert!(e.is_equivalent(), "{e:?}");

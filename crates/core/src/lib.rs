@@ -22,17 +22,19 @@
 //! Compile a benchmark down both paths and verify the FPQA output:
 //!
 //! ```
-//! use weaver_core::Weaver;
+//! use weaver_core::{Weaver, Workload};
 //! use weaver_sat::generator;
-//! use weaver_superconducting::CouplingMap;
 //!
-//! let formula = generator::instance(20, 1);
+//! let formula = Workload::MaxSat(generator::instance(20, 1));
 //! let weaver = Weaver::new();
 //!
-//! let fpqa = weaver.compile_fpqa(&formula);
-//! assert!(weaver.verify(&fpqa, &formula).passed());
+//! let fpqa = weaver.compile_workload_cached("fpqa", &formula, None).unwrap();
+//! assert!(weaver.verify_workload(&fpqa, &formula, None).unwrap().passed());
 //!
-//! let sc = weaver.compile_superconducting(&formula, &CouplingMap::ibm_washington());
+//! // `superconducting` routes onto the 127-qubit IBM Washington map.
+//! let sc = weaver
+//!     .compile_workload_cached("superconducting", &formula, None)
+//!     .unwrap();
 //! assert!(fpqa.metrics.eps > sc.metrics.eps);
 //! ```
 
@@ -57,4 +59,4 @@ pub use codegen::{CodegenOptions, CompiledFpqa};
 pub use frontend::{
     Frontend, FrontendError, FrontendInfo, FrontendRegistry, Workload, WorkloadKind,
 };
-pub use pipeline::{FpqaResult, Metrics, SuperconductingResult, Weaver};
+pub use pipeline::{Metrics, Weaver};

@@ -1,27 +1,24 @@
 //! The retargetable compilation pipeline (paper Fig. 3).
 //!
-//! One entry point, many backends: a Max-3SAT workload is lowered to a
+//! One entry point, many backends: a workload is lowered to a
 //! hardware-agnostic native circuit and dispatched through the
 //! [`BackendRegistry`]. The FPQA target
 //! runs the wOptimizer (coloring → shuttling → compression) and emits
 //! annotated wQasm plus a pulse schedule (verified by the wChecker), the
 //! superconducting target routes through the SABRE transpiler onto a
 //! coupling map, and the simulator target executes the native circuit on
-//! the ideal state-vector simulator. [`Weaver::compile_target`] reaches any
-//! of them by name; [`Weaver::compile_fpqa`] and
-//! [`Weaver::compile_superconducting`] remain as thin shims over the same
-//! trait-dispatched path.
+//! the ideal state-vector simulator. [`Weaver::compile_workload_cached`]
+//! reaches any of them by name and [`Weaver::verify_workload`] runs the
+//! producing target's checker.
 
-use crate::backend::{
-    Backend as _, BackendError, BackendRegistry, CompileOutput, CompiledArtifact, FpqaBackend,
-    SuperconductingBackend,
-};
+use crate::backend::{BackendError, BackendRegistry, CompileOutput};
+use crate::cache::CacheHandle;
 use crate::checker::{self, CheckReport};
-use crate::codegen::{CodegenOptions, CompiledFpqa};
-use weaver_circuit::{native, Circuit, NativeBasis};
+use crate::codegen::CodegenOptions;
+use crate::frontend::Workload;
 use weaver_fpqa::{FpqaParams, PulseSchedule};
 use weaver_sat::{qaoa, Formula};
-use weaver_superconducting::{CouplingMap, SuperconductingParams, TranspileResult};
+use weaver_superconducting::{SuperconductingParams, TranspileResult};
 use weaver_wqasm::Program;
 
 /// The paper's evaluation metrics for one compilation (§8.1).
@@ -75,39 +72,20 @@ impl Metrics {
     }
 }
 
-/// Result of the FPQA path.
-#[derive(Clone, Debug)]
-pub struct FpqaResult {
-    /// The compiled program, schedule, and logical circuit.
-    pub compiled: CompiledFpqa,
-    /// Evaluation metrics.
-    pub metrics: Metrics,
-}
-
-/// Result of the superconducting path.
-#[derive(Clone, Debug)]
-pub struct SuperconductingResult {
-    /// The routed physical circuit.
-    pub circuit: Circuit,
-    /// SWAPs inserted by routing.
-    pub swap_count: usize,
-    /// Evaluation metrics.
-    pub metrics: Metrics,
-}
-
 /// The Weaver retargetable compiler.
 ///
 /// # Examples
 ///
 /// ```
 /// use weaver_core::pipeline::Weaver;
+/// use weaver_core::Workload;
 /// use weaver_sat::generator;
 ///
-/// let formula = generator::instance(20, 1);
+/// let formula = Workload::MaxSat(generator::instance(20, 1));
 /// let weaver = Weaver::new();
-/// let fpqa = weaver.compile_fpqa(&formula);
+/// let fpqa = weaver.compile_workload_cached("fpqa", &formula, None).unwrap();
 /// assert!(fpqa.metrics.eps > 0.0);
-/// let report = weaver.verify(&fpqa, &formula);
+/// let report = weaver.verify_workload(&fpqa, &formula, None).unwrap();
 /// assert!(report.passed(), "{:?}", report.errors);
 /// ```
 #[derive(Clone, Debug)]
@@ -142,236 +120,100 @@ impl Weaver {
         self
     }
 
-    /// Compiles a Max-3SAT formula for the target resolved from `name` by
-    /// the [global registry](BackendRegistry::global) — a registered name
-    /// or alias (`fpqa`, `superconducting`/`sc`, `simulator`/`sim`, the
-    /// `sc:*` device family) or a parameterized device like
-    /// `sc:grid:<w>x<h>`, minted on demand. To dispatch to a custom
-    /// backend, build your own [`BackendRegistry`], `register` it, and call
-    /// [`crate::backend::Backend::compile`] on the looked-up entry (see the
-    /// module example in [`crate::backend`]).
-    ///
-    /// # Errors
-    ///
-    /// An unknown target name, or a workload the target cannot hold (see
-    /// [`BackendInfo::max_qubits`](crate::backend::BackendInfo::max_qubits)).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use weaver_core::Weaver;
-    /// use weaver_sat::generator;
-    ///
-    /// let formula = generator::instance(10, 1);
-    /// let weaver = Weaver::new();
-    /// for target in ["fpqa", "sc", "simulator", "sc:eagle", "sc:grid:3x4"] {
-    ///     let out = weaver.compile_target(target, &formula).unwrap();
-    ///     assert!(out.metrics.eps > 0.0, "{target}");
-    /// }
-    /// assert!(weaver.compile_target("ion-trap", &formula).is_err());
-    /// ```
-    pub fn compile_target(
-        &self,
-        name: &str,
-        formula: &Formula,
-    ) -> Result<CompileOutput, BackendError> {
-        self.compile_target_cached(name, formula, None)
-    }
-
-    /// Like [`Weaver::compile_target`], threading a shared compilation
-    /// cache through the backend's passes. Output is byte-identical with
-    /// and without a cache; only [`Metrics::compilation_seconds`] may
-    /// differ.
-    pub fn compile_target_cached(
-        &self,
-        name: &str,
-        formula: &Formula,
-        cache: Option<&crate::cache::CacheHandle>,
-    ) -> Result<CompileOutput, BackendError> {
-        let backend = BackendRegistry::global().resolve(name)?;
-        backend.compile(self, formula, cache)
-    }
-
-    /// Runs the producing backend's verify hook on a [`CompileOutput`]
-    /// (dispatched by [`CompileOutput::backend`] through the global
-    /// registry): `Some(report)` on the FPQA path (the wChecker), `None`
-    /// for targets without a checker. Parameterized `sc:*` devices are
-    /// deliberately *not* re-minted here: the only mintable backend kind
-    /// ([`SuperconductingBackend`]) has no verify hook, and minting one
-    /// eagerly rebuilds the coupling map's all-pairs distance table just
-    /// to call the default `None`. For a backend living only in a local
-    /// registry, call [`crate::backend::Backend::verify`] on it directly.
-    pub fn verify_output(
-        &self,
-        output: &CompileOutput,
-        formula: &Formula,
-        cache: Option<&crate::cache::CacheHandle>,
-    ) -> Option<CheckReport> {
-        BackendRegistry::global()
-            .get(&output.backend)
-            .and_then(|backend| backend.verify(self, output, formula, cache))
-    }
-
-    /// Compiles any frontend-produced [`Workload`](crate::frontend::Workload)
-    /// for the target resolved
-    /// from `name` by the [global registry](BackendRegistry::global).
-    /// Formula workloads take exactly the [`Weaver::compile_target`] path;
-    /// circuit workloads dispatch through
+    /// Compiles any frontend-produced [`Workload`] for the target resolved
+    /// from `name` by the [global registry](BackendRegistry::global) — a
+    /// registered name or alias (`fpqa`, `superconducting`/`sc`,
+    /// `simulator`/`sim`, the `sc:*` device family) or a parameterized
+    /// device like `sc:grid:<w>x<h>`, minted on demand. Formula workloads
+    /// dispatch through [`Backend::compile`](crate::backend::Backend::compile),
+    /// circuit workloads through
     /// [`Backend::compile_circuit`](crate::backend::Backend::compile_circuit)
     /// and are rejected with a typed
     /// [`UnsupportedWorkload`](crate::backend::BackendErrorKind::UnsupportedWorkload)
     /// error by targets that only accept formulas (the FPQA wOptimizer).
+    /// An optional shared `cache` memoizes clause plans across compiles;
+    /// output is byte-identical with and without one, only
+    /// [`Metrics::compilation_seconds`] may differ.
+    ///
+    /// To dispatch to a custom backend, build your own [`BackendRegistry`],
+    /// `register` it, and call
+    /// [`Backend::compile`](crate::backend::Backend::compile) on the
+    /// looked-up entry (see the module example in [`crate::backend`]).
     ///
     /// # Errors
     ///
-    /// An unknown target name, a register the target cannot hold, or a
-    /// circuit workload sent to a formula-only target.
+    /// An unknown target name, a register the target cannot hold (see
+    /// [`BackendInfo::max_qubits`](crate::backend::BackendInfo::max_qubits)),
+    /// or a circuit workload sent to a formula-only target.
     ///
     /// # Examples
     ///
     /// ```
     /// use weaver_core::{FrontendRegistry, Weaver, Workload};
+    /// use weaver_sat::generator;
     ///
-    /// let registry = FrontendRegistry::global();
-    /// let workload = registry
+    /// let weaver = Weaver::new();
+    /// let formula = Workload::MaxSat(generator::instance(10, 1));
+    /// for target in ["fpqa", "sc", "simulator", "sc:eagle", "sc:grid:3x4"] {
+    ///     let out = weaver.compile_workload_cached(target, &formula, None).unwrap();
+    ///     assert!(out.metrics.eps > 0.0, "{target}");
+    /// }
+    /// assert!(weaver.compile_workload_cached("ion-trap", &formula, None).is_err());
+    ///
+    /// let parsed = FrontendRegistry::global()
     ///     .get("dimacs")
     ///     .unwrap()
     ///     .parse("p cnf 2 2\n1 2 0\n-1 -2 0\n")
     ///     .unwrap();
-    /// let weaver = Weaver::new();
-    /// let out = weaver.compile_workload("simulator", &workload).unwrap();
+    /// let out = weaver.compile_workload_cached("simulator", &parsed, None).unwrap();
     /// assert!(out.metrics.eps > 0.0);
     /// ```
-    pub fn compile_workload(
-        &self,
-        name: &str,
-        workload: &crate::frontend::Workload,
-    ) -> Result<CompileOutput, BackendError> {
-        self.compile_workload_cached(name, workload, None)
-    }
-
-    /// Like [`Weaver::compile_workload`], threading a shared compilation
-    /// cache through the backend's passes.
     pub fn compile_workload_cached(
         &self,
         name: &str,
-        workload: &crate::frontend::Workload,
-        cache: Option<&crate::cache::CacheHandle>,
+        workload: &Workload,
+        cache: Option<&CacheHandle>,
     ) -> Result<CompileOutput, BackendError> {
         let backend = BackendRegistry::global().resolve(name)?;
         backend.compile_workload(self, workload, cache)
     }
 
-    /// Workload-aware twin of [`Weaver::verify_output`]: formula workloads
-    /// run the producing backend's verify hook (the wChecker on the FPQA
-    /// path), circuit workloads have no formula-level checker and return
-    /// `None`.
+    /// Runs the producing backend's verify hook on a [`CompileOutput`]
+    /// (dispatched by [`CompileOutput::backend`] through the global
+    /// registry): `Some(report)` for a formula compiled on the FPQA path
+    /// (the wChecker, reusing memoized per-annotation device traces from
+    /// `cache`), `None` for targets without a checker and for circuit
+    /// workloads, which have no formula-level reference.
+    ///
+    /// Parameterized `sc:*` devices are deliberately *not* re-minted here:
+    /// the only mintable backend kind
+    /// ([`SuperconductingBackend`](crate::backend::SuperconductingBackend))
+    /// has no verify hook, and minting one eagerly rebuilds the coupling
+    /// map's all-pairs distance table just to call the default `None`. For
+    /// a backend living only in a local registry, call
+    /// [`Backend::verify`](crate::backend::Backend::verify) on it directly.
     pub fn verify_workload(
         &self,
         output: &CompileOutput,
-        workload: &crate::frontend::Workload,
-        cache: Option<&crate::cache::CacheHandle>,
+        workload: &Workload,
+        cache: Option<&CacheHandle>,
     ) -> Option<CheckReport> {
-        match workload {
-            crate::frontend::Workload::MaxSat(formula) => {
-                self.verify_output(output, formula, cache)
-            }
-            crate::frontend::Workload::Circuit(_) => None,
-        }
-    }
-
-    /// Compiles a Max-3SAT formula down the FPQA path (wOptimizer). Thin
-    /// shim over the trait-dispatched [`FpqaBackend`]; output is
-    /// byte-identical to pre-registry releases.
-    pub fn compile_fpqa(&self, formula: &Formula) -> FpqaResult {
-        self.compile_fpqa_cached(formula, None)
-    }
-
-    /// Like [`Weaver::compile_fpqa`], but threading a shared compilation
-    /// cache through codegen (memoized clause plans). Output is
-    /// byte-identical with and without a cache; only
-    /// [`Metrics::compilation_seconds`] may differ.
-    pub fn compile_fpqa_cached(
-        &self,
-        formula: &Formula,
-        cache: Option<&crate::cache::CacheHandle>,
-    ) -> FpqaResult {
-        let output = FpqaBackend
-            .compile(self, formula, cache)
-            .expect("the FPQA backend accepts any register");
-        match output.artifact {
-            CompiledArtifact::Fpqa(compiled) => FpqaResult {
-                compiled,
-                metrics: output.metrics,
-            },
-            _ => unreachable!("FpqaBackend emits FPQA artifacts"),
-        }
-    }
-
-    /// Compiles a Max-3SAT formula down the superconducting path (QAOA
-    /// lowering + SABRE transpilation onto `coupling`). Thin shim over the
-    /// trait-dispatched [`SuperconductingBackend`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the formula needs more qubits than the device offers.
-    pub fn compile_superconducting(
-        &self,
-        formula: &Formula,
-        coupling: &CouplingMap,
-    ) -> SuperconductingResult {
-        let output = SuperconductingBackend::with_coupling(coupling.clone())
-            .compile(self, formula, None)
-            .unwrap_or_else(|e| panic!("{e}"));
-        match output.artifact {
-            CompiledArtifact::Superconducting {
-                circuit,
-                swap_count,
-            } => SuperconductingResult {
-                circuit,
-                swap_count,
-                metrics: output.metrics,
-            },
-            _ => unreachable!("SuperconductingBackend emits routed circuits"),
-        }
-    }
-
-    /// Lowers an arbitrary circuit to the hardware-agnostic native basis
-    /// (`{U3, CZ}` + `CCZ` for the FPQA path) — paper Fig. 3, stage (a).
-    pub fn nativize(&self, circuit: &Circuit, fpqa: bool) -> Circuit {
-        let basis = if fpqa {
-            NativeBasis::U3CzCcz
-        } else {
-            NativeBasis::U3Cz
+        let Workload::MaxSat(formula) = workload else {
+            return None;
         };
-        native::nativize(circuit, basis)
-    }
-
-    /// Runs the wChecker on an FPQA compilation result, comparing against
-    /// the QAOA reference circuit when the register is small enough.
-    pub fn verify(&self, result: &FpqaResult, formula: &Formula) -> CheckReport {
-        self.verify_cached(result, formula, None)
-    }
-
-    /// Like [`Weaver::verify`], but consulting a shared cache for memoized
-    /// per-annotation device traces: re-checking an unchanged program skips
-    /// the pulse re-simulation (see [`checker::check_with_cache`]).
-    pub fn verify_cached(
-        &self,
-        result: &FpqaResult,
-        formula: &Formula,
-        cache: Option<&crate::cache::CacheHandle>,
-    ) -> CheckReport {
-        self.verify_program(&result.compiled.program, formula, cache)
+        BackendRegistry::global()
+            .get(&output.backend)
+            .and_then(|backend| backend.verify(self, output, formula, cache))
     }
 
     /// Runs the wChecker on any annotated wQasm program claiming to
-    /// implement `formula`'s QAOA circuit (the [`FpqaBackend`] verify hook).
+    /// implement `formula`'s QAOA circuit (the
+    /// [`FpqaBackend`](crate::backend::FpqaBackend) verify hook).
     pub(crate) fn verify_program(
         &self,
         program: &Program,
         formula: &Formula,
-        cache: Option<&crate::cache::CacheHandle>,
+        cache: Option<&CacheHandle>,
     ) -> CheckReport {
         let reference = if formula.num_vars() <= weaver_simulator::UnitaryBuilder::MAX_QUBITS {
             Some(qaoa::build_circuit(formula, &self.options.qaoa, false))
@@ -391,7 +233,20 @@ impl Default for Weaver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::CompiledArtifact;
+    use crate::codegen::CompiledFpqa;
     use weaver_sat::generator;
+    use weaver_superconducting::CouplingMap;
+
+    fn fpqa(weaver: &Weaver, formula: &Workload) -> (CompileOutput, CompiledFpqa) {
+        let out = weaver
+            .compile_workload_cached("fpqa", formula, None)
+            .unwrap();
+        let CompiledArtifact::Fpqa(compiled) = out.artifact.clone() else {
+            panic!("fpqa emits FPQA artifacts");
+        };
+        (out, compiled)
+    }
 
     #[test]
     fn pipeline_types_are_send_and_sync() {
@@ -400,65 +255,73 @@ mod tests {
         // introducing hidden `Rc`/`RefCell` state) must fail to compile.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Weaver>();
-        assert_send_sync::<FpqaResult>();
-        assert_send_sync::<SuperconductingResult>();
-        assert_send_sync::<crate::cache::CacheHandle>();
+        assert_send_sync::<CompileOutput>();
+        assert_send_sync::<CacheHandle>();
         assert_send_sync::<crate::codegen::CompiledFpqa>();
         assert_send_sync::<crate::checker::CheckReport>();
     }
 
     #[test]
     fn fpqa_path_end_to_end() {
-        let f = generator::instance(20, 1);
+        let f = Workload::MaxSat(generator::instance(20, 1));
         let weaver = Weaver::new();
-        let out = weaver.compile_fpqa(&f);
+        let (out, _) = fpqa(&weaver, &f);
         assert!(out.metrics.eps > 0.0 && out.metrics.eps <= 1.0);
         assert!(out.metrics.execution_micros > 0.0);
         assert!(out.metrics.pulses > 0);
         assert!(out.metrics.motion_ops > 0);
-        let report = weaver.verify(&out, &f);
+        let report = weaver.verify_workload(&out, &f, None).unwrap();
         assert!(report.passed(), "{:?}", report.errors);
     }
 
     #[test]
     fn superconducting_path_end_to_end() {
-        let f = generator::instance(20, 2);
+        let f = Workload::MaxSat(generator::instance(20, 2));
         let weaver = Weaver::new();
-        let coupling = CouplingMap::ibm_washington();
-        let out = weaver.compile_superconducting(&f, &coupling);
-        assert!(out.swap_count > 0, "QAOA on heavy-hex must route");
+        let out = weaver
+            .compile_workload_cached("superconducting", &f, None)
+            .unwrap();
+        let CompiledArtifact::Superconducting {
+            circuit,
+            swap_count,
+        } = &out.artifact
+        else {
+            panic!("superconducting emits routed circuits");
+        };
+        assert!(*swap_count > 0, "QAOA on heavy-hex must route");
         assert!(out.metrics.eps >= 0.0 && out.metrics.eps <= 1.0);
         assert!(weaver_superconducting::sabre::respects_coupling(
-            &out.circuit,
-            &coupling
+            circuit,
+            &CouplingMap::ibm_washington()
         ));
+        // No checker on this target.
+        assert!(weaver.verify_workload(&out, &f, None).is_none());
     }
 
     #[test]
     fn low_ccz_fidelity_disables_compression() {
-        let f = generator::instance(20, 3);
+        let f = Workload::MaxSat(generator::instance(20, 3));
         let weaver = Weaver::new().with_fpqa_params(FpqaParams::default().with_ccz_fidelity(0.90));
-        let out = weaver.compile_fpqa(&f);
+        let (out, compiled) = fpqa(&weaver, &f);
         // Ladder mode: no CCZ pulses at all, and far more Rydberg slots
         // (≈10 per color instead of 4) plus more atom motion.
-        let baseline = Weaver::new().compile_fpqa(&f);
-        let rydbergs = |r: &FpqaResult| {
-            r.compiled
-                .schedule
+        let (baseline, baseline_compiled) = fpqa(&Weaver::new(), &f);
+        let rydbergs = |c: &CompiledFpqa| {
+            c.schedule
                 .ops()
                 .iter()
                 .filter(|o| matches!(o, weaver_fpqa::PulseOp::Rydberg { .. }))
                 .count()
         };
-        let has_ccz = |r: &FpqaResult| {
-            r.compiled.schedule.ops().iter().any(|o| {
+        let has_ccz = |c: &CompiledFpqa| {
+            c.schedule.ops().iter().any(|o| {
                 matches!(o, weaver_fpqa::PulseOp::Rydberg { groups }
                     if groups.iter().any(|g| g.len() == 3))
             })
         };
-        assert!(rydbergs(&out) > rydbergs(&baseline));
-        assert!(!has_ccz(&out), "ladder mode must not use CCZ");
-        assert!(has_ccz(&baseline), "compressed mode must use CCZ");
+        assert!(rydbergs(&compiled) > rydbergs(&baseline_compiled));
+        assert!(!has_ccz(&compiled), "ladder mode must not use CCZ");
+        assert!(has_ccz(&baseline_compiled), "compressed mode must use CCZ");
         assert!(out.metrics.motion_ops > baseline.metrics.motion_ops);
     }
 
@@ -466,10 +329,12 @@ mod tests {
     fn fpqa_beats_superconducting_eps_at_scale() {
         // The paper's headline (Fig. 12b): Weaver's EPS exceeds the
         // superconducting baseline already at 20 variables.
-        let f = generator::instance(20, 1);
+        let f = Workload::MaxSat(generator::instance(20, 1));
         let weaver = Weaver::new();
-        let fpqa = weaver.compile_fpqa(&f);
-        let sc = weaver.compile_superconducting(&f, &CouplingMap::ibm_washington());
+        let (fpqa, _) = fpqa(&weaver, &f);
+        let sc = weaver
+            .compile_workload_cached("superconducting", &f, None)
+            .unwrap();
         assert!(
             fpqa.metrics.eps > sc.metrics.eps,
             "FPQA {} ≤ SC {}",

@@ -12,9 +12,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 use weaver_core::cache::CacheStats;
-use weaver_core::{CodegenOptions, FrontendRegistry, Weaver, Workload};
+use weaver_core::{FrontendRegistry, Workload};
 use weaver_obs::{log, metrics, span, Counter, Histogram};
-use weaver_sat::qaoa::QaoaParams;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -381,7 +380,19 @@ impl Engine {
             Err(e) => return (String::new(), CacheOutcome::Bypass, Err(e)),
         };
 
-        let key = job.artifact_key(&workload);
+        // Key derivation runs compiler code (option → parameter mapping)
+        // too, so it sits inside the same panic boundary as the compile:
+        // a panic there fails this job, never the worker running it.
+        let key = match catch_unwind(AssertUnwindSafe(|| job.artifact_key(&workload))) {
+            Ok(key) => key,
+            Err(panic) => {
+                return (
+                    String::new(),
+                    CacheOutcome::Bypass,
+                    Err(internal_error(&panic)),
+                )
+            }
+        };
         if self.config.use_cache {
             if let Some((artifact, outcome)) = self.cache.lookup(&key) {
                 return (key.to_hex(), outcome, Ok(artifact));
@@ -412,10 +423,7 @@ impl Engine {
             }
             Err(panic) => {
                 timings.compile_seconds = compile_start.elapsed().as_secs_f64();
-                Err(JobError {
-                    kind: JobErrorKind::Compile,
-                    message: format!("internal compiler error: {}", panic_message(&panic)),
-                })
+                Err(internal_error(&panic))
             }
         };
         let cache = if self.config.use_cache {
@@ -424,6 +432,14 @@ impl Engine {
             CacheOutcome::Bypass
         };
         (key.to_hex(), cache, artifact)
+    }
+}
+
+/// The `compile` error a panic inside the compiler becomes.
+fn internal_error(panic: &Box<dyn std::any::Any + Send>) -> JobError {
+    JobError {
+        kind: JobErrorKind::Compile,
+        message: format!("internal compiler error: {}", panic_message(panic)),
     }
 }
 
@@ -469,25 +485,15 @@ fn load_workload(source: &JobSource, frontend: Option<&str>) -> Result<Workload,
 
 /// Compiles one job (already parsed); returns the artifact and the seconds
 /// spent in the wChecker. Every target dispatches through the shared
-/// [`BackendRegistry`], and the construction mirrors `weaverc`'s
-/// single-shot path exactly, so batch output is byte-identical to
-/// sequential runs.
+/// [`weaver_core::BackendRegistry`], and the compiler comes from
+/// [`crate::JobOptions::weaver`] exactly as in `weaverc`'s single-shot
+/// path, so batch output is byte-identical to sequential runs.
 fn compile_job(
     job: &CompileJob,
     workload: &Workload,
     core_cache: Option<&weaver_core::cache::CacheHandle>,
 ) -> Result<(Artifact, f64), JobError> {
-    let options = CodegenOptions {
-        compression: job.options.compression,
-        parallel_shuttling: job.options.parallel_shuttling,
-        dsatur: job.options.dsatur,
-        qaoa: QaoaParams::single(job.options.gamma, job.options.beta),
-        measure: true,
-        ..CodegenOptions::default()
-    };
-    let weaver = Weaver::new()
-        .with_fpqa_params(job.options.fpqa_params())
-        .with_options(options);
+    let weaver = job.options.weaver();
     let output = weaver
         .compile_workload_cached(job.target.name(), workload, core_cache)
         .map_err(|e| JobError {
@@ -598,7 +604,7 @@ mod tests {
     #[test]
     fn oversized_superconducting_job_fails_structurally() {
         let mut job = CompileJob::from_formula("uf150", generator::instance(150, 1));
-        job.target = Target::Superconducting;
+        job.target = Target::parse("superconducting").unwrap();
         let report = engine(1).run(vec![job]);
         let err = report.results[0].artifact.as_ref().unwrap_err();
         assert_eq!(err.kind, JobErrorKind::Compile);
@@ -608,7 +614,7 @@ mod tests {
     #[test]
     fn oversized_simulator_job_fails_structurally() {
         let mut job = CompileJob::from_formula("uf50", generator::instance(50, 1));
-        job.target = Target::Simulator;
+        job.target = Target::parse("simulator").unwrap();
         let report = engine(1).run(vec![job]);
         let err = report.results[0].artifact.as_ref().unwrap_err();
         assert_eq!(err.kind, JobErrorKind::Compile);
@@ -616,32 +622,46 @@ mod tests {
     }
 
     #[test]
+    fn panicking_key_derivation_is_a_compile_error() {
+        // An out-of-range CCZ fidelity trips `FpqaParams`' assertion while
+        // the key is derived; the job fails, and the worker lives on.
+        let mut jobs = batch(2);
+        jobs[0].options.ccz_fidelity = Some(1.5);
+        let report = engine(1).run(jobs);
+        let err = report.results[0].artifact.as_ref().unwrap_err();
+        assert_eq!(err.kind, JobErrorKind::Compile);
+        assert!(err.message.contains("[0, 1]"), "{err}");
+        assert!(report.results[0].key.is_empty());
+        assert!(report.results[1].artifact.is_ok());
+    }
+
+    #[test]
     fn one_formula_compiles_for_every_registered_target() {
         let f = generator::instance(10, 1);
-        let jobs: Vec<CompileJob> = Target::ALL
+        let jobs: Vec<CompileJob> = ["fpqa", "superconducting", "simulator"]
             .into_iter()
             .map(|target| {
                 let mut job = CompileJob::from_formula(format!("uf10@{target}"), f.clone());
-                job.target = target.clone();
+                job.target = Target::parse(target).unwrap();
                 job
             })
             .collect();
         let report = engine(2).run(jobs);
         assert_eq!(report.succeeded(), 3);
-        let by_target = |t: Target| {
+        let by_target = |name: &str| {
             report
                 .results
                 .iter()
-                .find(|r| r.target == t)
+                .find(|r| r.target.name() == name)
                 .and_then(|r| r.artifact.as_ref().ok())
                 .expect("artifact")
         };
-        let fpqa = by_target(Target::Fpqa);
+        let fpqa = by_target("fpqa");
         assert!(fpqa.num_colors.is_some() && fpqa.swap_count.is_none());
         assert!(fpqa.wqasm.contains("@rydberg"));
-        let sc = by_target(Target::Superconducting);
+        let sc = by_target("superconducting");
         assert!(sc.swap_count.is_some() && sc.num_colors.is_none());
-        let sim = by_target(Target::Simulator);
+        let sim = by_target("simulator");
         assert!(sim.metrics.eps > 0.0 && sim.metrics.eps <= 1.0);
         assert_eq!(sim.metrics.motion_ops, 0);
         assert!(!sim.wqasm.contains("@rydberg"), "ideal path has no pulses");

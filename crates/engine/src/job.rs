@@ -5,64 +5,32 @@
 use std::fmt;
 use std::path::PathBuf;
 use weaver_core::cache::{fingerprint_fpqa_params, Digest, Fingerprint, COMPILER_VERSION};
-use weaver_core::{Metrics, Workload};
+use weaver_core::{CodegenOptions, Metrics, Weaver, Workload};
 use weaver_fpqa::FpqaParams;
+use weaver_sat::qaoa::QaoaParams;
 use weaver_sat::Formula;
 
-/// Compilation backend of a job. The names and aliases mirror the
-/// [`weaver_core::backend::BackendRegistry`] keys — [`Target::parse`]
-/// resolves names and aliases through the registry, including the whole
-/// `sc:*` device family (built-in devices and parameterized
-/// `sc:grid:<w>x<h>` lattices), which lands in [`Target::ScDevice`] with
-/// its canonical registry name. The enum stays closed on purpose: each
-/// variant owns a stable artifact-cache tag (see
-/// [`CompileJob::artifact_key`]), so registering a new *core* backend also
-/// means adding a variant here, to [`Target::ALL`], [`Target::name`], and
-/// the key tag — the non-exhaustive matches below make the compiler walk
-/// you through every site.
+/// Compilation backend of a job: the canonical
+/// [`weaver_core::backend::BackendRegistry`] name of a target. Built only
+/// by [`Target::parse`] (or [`Target::default`], `fpqa`), which resolves
+/// names and aliases through the registry, the whole `sc:*` device family
+/// included (built-in devices and parameterized `sc:grid:<w>x<h>`
+/// lattices), so two spellings of one target are always equal. The name is
+/// the whole target identity: it selects the backend, and it participates
+/// in the artifact key (see [`CompileJob::artifact_key`]), so two targets
+/// never share a cache entry.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Target {
-    /// The FPQA path (wOptimizer + wChecker).
-    Fpqa,
-    /// The superconducting path (QAOA + SABRE on IBM Washington).
-    Superconducting,
-    /// The ideal state-vector simulator (noiseless EPS reference).
-    Simulator,
-    /// A member of the `sc:*` superconducting device family, by canonical
-    /// registry name (`sc:eagle`, `sc:grid:4x5`, …). The name is the whole
-    /// device identity: it selects the coupling map deterministically, and
-    /// it participates in the artifact key so two devices never share a
-    /// cache entry.
-    ScDevice(String),
-}
+pub struct Target(String);
 
 impl Target {
-    /// The core batchable targets, in registry order. Device-family
-    /// targets are open-ended (`sc:grid:<w>x<h>`) and therefore not
-    /// enumerable here; see [`Target::builtin_devices`].
-    pub const ALL: [Target; 3] = [Target::Fpqa, Target::Superconducting, Target::Simulator];
-
-    /// The built-in `sc:*` device-family targets, in registry order.
-    pub fn builtin_devices() -> Vec<Target> {
-        weaver_superconducting::DeviceSpec::builtin()
-            .into_iter()
-            .map(|d| Target::ScDevice(d.full_name()))
-            .collect()
-    }
-
     /// CLI / JSONL name (the registry's primary key).
     pub fn name(&self) -> &str {
-        match self {
-            Target::Fpqa => "fpqa",
-            Target::Superconducting => "superconducting",
-            Target::Simulator => "simulator",
-            Target::ScDevice(name) => name,
-        }
+        &self.0
     }
 
-    /// Parses a CLI / manifest target name or alias via the backend
-    /// registry; `sc:*` names (aliases like `sc:washington` included, and
-    /// parameterized grids) canonicalize into [`Target::ScDevice`].
+    /// Parses a CLI / manifest target name or alias into its canonical
+    /// registry name; `sc:*` names (aliases like `sc:washington` included,
+    /// and parameterized grids) canonicalize through their device spec.
     pub fn parse(s: &str) -> Result<Self, String> {
         if s.starts_with(weaver_superconducting::device::FAMILY_PREFIX) {
             // Canonicalize via the declarative spec alone — resolving
@@ -70,31 +38,54 @@ impl Target {
             // constructor eagerly builds the coupling map's all-pairs
             // distance table) just to read its name.
             let spec = weaver_superconducting::DeviceSpec::resolve(s)?;
-            return Ok(Target::ScDevice(spec.full_name()));
+            return Ok(Target(spec.full_name()));
         }
         let registry = weaver_core::BackendRegistry::global();
-        let canonical = registry
+        let backend = registry
             .get(s)
-            .ok_or_else(|| registry.unknown_target(s).message)?
-            .info()
-            .name;
-        Target::ALL
-            .into_iter()
-            .find(|t| t.name() == canonical)
-            .ok_or_else(|| {
-                // A backend registered outside the batchable set (e.g. a
-                // custom target in a local registry) is never advertised.
-                format!(
-                    "target `{canonical}` is not batchable (batchable targets: {}, sc:*)",
-                    Target::ALL.map(|t| t.name().to_string()).join(", ")
-                )
-            })
+            .ok_or_else(|| registry.unknown_target(s).message)?;
+        Ok(Target(backend.info().name))
+    }
+
+    /// Feeds this target into an artifact key: `fpqa`, `superconducting`
+    /// and `simulator` as the bare tags 1–3, every other name as tag 4
+    /// followed by the name. Stored artifacts are keyed by these bytes, so
+    /// the mapping must not change.
+    fn fingerprint(&self, fp: &mut Fingerprint) {
+        match self.name() {
+            "fpqa" => fp.tag(1),
+            "superconducting" => fp.tag(2),
+            "simulator" => fp.tag(3),
+            name => fp.tag(4).str(name),
+        };
+    }
+}
+
+impl Default for Target {
+    fn default() -> Self {
+        Target("fpqa".to_string())
     }
 }
 
 impl fmt::Display for Target {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Checks a CCZ fidelity override: a probability, so in `[0, 1]`. Every
+/// place a value enters (manifest lines, `weaverd` requests, `weaverc`
+/// flags) checks it, so an out-of-range value is a typed input error and
+/// never reaches [`FpqaParams::with_ccz_fidelity`]'s assertion.
+///
+/// # Errors
+///
+/// A message naming the value, for the caller to prefix with the field.
+pub fn check_ccz_fidelity(value: f64) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(value)
+    } else {
+        Err(format!("`{value}` is outside [0, 1]"))
     }
 }
 
@@ -107,7 +98,7 @@ pub struct JobOptions {
     pub parallel_shuttling: bool,
     /// DSatur clause coloring (off ⇒ first-fit greedy).
     pub dsatur: bool,
-    /// CCZ fidelity override.
+    /// CCZ fidelity override, in `[0, 1]` (see [`check_ccz_fidelity`]).
     pub ccz_fidelity: Option<f64>,
     /// QAOA γ.
     pub gamma: f64,
@@ -133,12 +124,37 @@ impl Default for JobOptions {
 
 impl JobOptions {
     /// The FPQA parameters these options select.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`JobOptions::ccz_fidelity`] is outside `[0, 1]`.
     pub fn fpqa_params(&self) -> FpqaParams {
         let params = FpqaParams::default();
         match self.ccz_fidelity {
             Some(f) => params.with_ccz_fidelity(f),
             None => params,
         }
+    }
+
+    /// The compiler these options configure — the one mapping from job
+    /// options to [`CodegenOptions`] and [`FpqaParams`], shared by the
+    /// batch engine and `weaverc`'s single-shot mode so both emit the same
+    /// bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`JobOptions::ccz_fidelity`] is outside `[0, 1]`.
+    pub fn weaver(&self) -> Weaver {
+        Weaver::new()
+            .with_fpqa_params(self.fpqa_params())
+            .with_options(CodegenOptions {
+                compression: self.compression,
+                parallel_shuttling: self.parallel_shuttling,
+                dsatur: self.dsatur,
+                qaoa: QaoaParams::single(self.gamma, self.beta),
+                measure: true,
+                ..CodegenOptions::default()
+            })
     }
 }
 
@@ -194,7 +210,7 @@ impl CompileJob {
         CompileJob {
             source: JobSource::Path(path.into()),
             frontend: None,
-            target: Target::Fpqa,
+            target: Target::default(),
             options: JobOptions::default(),
         }
     }
@@ -207,7 +223,7 @@ impl CompileJob {
                 formula,
             },
             frontend: None,
-            target: Target::Fpqa,
+            target: Target::default(),
             options: JobOptions::default(),
         }
     }
@@ -222,7 +238,7 @@ impl CompileJob {
                 workload,
             },
             frontend: None,
-            target: Target::Fpqa,
+            target: Target::default(),
             options: JobOptions::default(),
         }
     }
@@ -240,9 +256,16 @@ impl CompileJob {
     /// Content-addressed artifact key of this job for `workload`:
     /// BLAKE2s-256 over the canonicalized workload, the target and its
     /// parameters, every option that can influence the artifact, and the
-    /// compiler version. Device-family targets additionally hash their
-    /// canonical device name (which encodes the topology, `sc:grid:4x5`
-    /// included), so `sc:eagle` and `sc:heron` can never collide. The
+    /// compiler version. Targets other than the three core ones
+    /// additionally hash their canonical name (which for devices encodes
+    /// the topology, `sc:grid:4x5` included), so `sc:eagle` and `sc:heron`
+    /// can never collide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`JobOptions::ccz_fidelity`] is outside `[0, 1]`; the
+    /// engine derives keys inside its panic boundary, so a job with such a
+    /// value fails with a `compile` error instead. The
     /// workload *source* (file path vs inline) and the *frontend* that
     /// parsed it deliberately do not participate — identical content hits
     /// regardless of origin or format (a formula fed as `.cnf` and the
@@ -251,12 +274,7 @@ impl CompileJob {
         let mut fp = Fingerprint::new();
         fp.tag(0xA7).str(COMPILER_VERSION);
         fp.bytes(&workload.canonical_bytes());
-        match &self.target {
-            Target::Fpqa => fp.tag(1),
-            Target::Superconducting => fp.tag(2),
-            Target::Simulator => fp.tag(3),
-            Target::ScDevice(name) => fp.tag(4).str(name),
-        };
+        self.target.fingerprint(&mut fp);
         fingerprint_fpqa_params(&mut fp, &self.options.fpqa_params());
         fp.bool(self.options.compression)
             .bool(self.options.parallel_shuttling)
@@ -404,7 +422,8 @@ pub struct JobResult {
     pub name: String,
     /// The backend compiled for.
     pub target: Target,
-    /// Hex artifact key (empty when the workload never parsed).
+    /// Hex artifact key (empty when the workload never parsed or the key
+    /// could not be derived).
     pub key: String,
     /// Cache participation.
     pub cache: CacheOutcome,
@@ -465,7 +484,7 @@ mod tests {
         let other = Workload::MaxSat(generator::instance(20, 2));
         assert_ne!(key, base.artifact_key(&other));
         let mut sc = base.clone();
-        sc.target = Target::Superconducting;
+        sc.target = Target::parse("superconducting").unwrap();
         assert_ne!(key, sc.artifact_key(&w));
         let mut opts = base.clone();
         opts.options.gamma += 1e-12;
@@ -492,14 +511,16 @@ mod tests {
 
     #[test]
     fn target_parses_cli_names() {
-        assert_eq!(Target::parse("fpqa").unwrap(), Target::Fpqa);
-        assert_eq!(Target::parse("sc").unwrap(), Target::Superconducting);
-        assert_eq!(
-            Target::parse("superconducting").unwrap(),
-            Target::Superconducting
-        );
-        assert_eq!(Target::parse("simulator").unwrap(), Target::Simulator);
-        assert_eq!(Target::parse("sim").unwrap(), Target::Simulator);
+        for (input, canonical) in [
+            ("fpqa", "fpqa"),
+            ("sc", "superconducting"),
+            ("superconducting", "superconducting"),
+            ("simulator", "simulator"),
+            ("sim", "simulator"),
+        ] {
+            assert_eq!(Target::parse(input).unwrap().name(), canonical, "{input}");
+        }
+        assert_eq!(Target::default(), Target::parse("fpqa").unwrap());
         let err = Target::parse("ion-trap").unwrap_err();
         assert!(
             err.contains("known targets: fpqa, superconducting, simulator"),
@@ -518,10 +539,9 @@ mod tests {
             ("sc:grid:4x5", "sc:grid:4x5"),
         ] {
             let target = Target::parse(input).unwrap();
-            assert_eq!(target, Target::ScDevice(canonical.to_string()), "{input}");
-            assert_eq!(target.name(), canonical);
+            assert_eq!(target.name(), canonical, "{input}");
+            assert_eq!(target, Target::parse(canonical).unwrap());
         }
-        assert_eq!(Target::builtin_devices().len(), 4);
         for bad in ["sc:osprey", "sc:grid:0x4", "sc:grid:"] {
             let err = Target::parse(bad).unwrap_err();
             assert!(err.contains(bad), "{err}");
@@ -533,11 +553,16 @@ mod tests {
         let f = generator::instance(10, 1);
         let w = Workload::MaxSat(f.clone());
         let mut keys = std::collections::HashSet::new();
-        let mut targets = Target::builtin_devices();
-        targets.push(Target::ScDevice("sc:grid:4x5".to_string()));
-        targets.push(Target::ScDevice("sc:grid:5x4".to_string()));
-        targets.push(Target::Superconducting);
-        for target in targets {
+        for name in [
+            "sc:line",
+            "sc:grid",
+            "sc:eagle",
+            "sc:heron",
+            "sc:grid:4x5",
+            "sc:grid:5x4",
+            "superconducting",
+        ] {
+            let target = Target::parse(name).unwrap();
             let mut job = CompileJob::from_formula("t", f.clone());
             job.target = target.clone();
             assert!(keys.insert(job.artifact_key(&w)), "{target} key collides");
@@ -549,7 +574,8 @@ mod tests {
         let f = generator::instance(10, 1);
         let w = Workload::MaxSat(f.clone());
         let mut keys = std::collections::HashSet::new();
-        for target in Target::ALL {
+        for name in ["fpqa", "superconducting", "simulator"] {
+            let target = Target::parse(name).unwrap();
             let mut job = CompileJob::from_formula("t", f.clone());
             job.target = target.clone();
             assert!(keys.insert(job.artifact_key(&w)), "{target} key collides");

@@ -54,8 +54,8 @@ pub mod store;
 pub use cache::{ArtifactCache, CacheConfig, CacheTierStats};
 pub use engine::{job_record, job_record_fields, BatchReport, Engine, EngineConfig};
 pub use job::{
-    Artifact, CacheOutcome, CompileJob, JobError, JobErrorKind, JobOptions, JobResult, JobSource,
-    PassTiming, StageTimings, Target,
+    check_ccz_fidelity, Artifact, CacheOutcome, CompileJob, JobError, JobErrorKind, JobOptions,
+    JobResult, JobSource, PassTiming, StageTimings, Target,
 };
 pub use manifest::discover_jobs;
 pub use server::{ClientStream, ListenAddr, Server, ServerConfig};

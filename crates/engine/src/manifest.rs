@@ -22,7 +22,7 @@
 //! defaults passed on the command line. Relative paths resolve against the
 //! manifest's directory; blank lines and `#` comments are skipped.
 
-use crate::job::{CompileJob, JobOptions, JobSource, Target};
+use crate::job::{check_ccz_fidelity, CompileJob, JobOptions, JobSource, Target};
 use std::path::Path;
 use weaver_core::{FrontendRegistry, WorkloadKind};
 
@@ -143,7 +143,11 @@ fn parse_manifest(
                 "dsatur" => options.dsatur = parse_bool(value)?,
                 "gamma" => options.gamma = parse_f64(value)?,
                 "beta" => options.beta = parse_f64(value)?,
-                "ccz-fidelity" => options.ccz_fidelity = Some(parse_f64(value)?),
+                "ccz-fidelity" => {
+                    let f = parse_f64(value)?;
+                    let f = check_ccz_fidelity(f).map_err(|e| at(format!("{key} {e}")))?;
+                    options.ccz_fidelity = Some(f);
+                }
                 other => return Err(at(format!("unknown key `{other}`"))),
             }
         }
@@ -179,7 +183,7 @@ mod tests {
         for name in ["b.cnf", "a.cnf", "ignored.txt", "c.dimacs"] {
             std::fs::write(dir.join(name), "p cnf 1 1\n1 0\n").unwrap();
         }
-        let jobs = discover_jobs(&dir, Target::Fpqa, &JobOptions::default()).unwrap();
+        let jobs = discover_jobs(&dir, Target::default(), &JobOptions::default()).unwrap();
         let names: Vec<String> = jobs
             .iter()
             .map(|j| match &j.source {
@@ -204,15 +208,15 @@ mod tests {
              four.cnf target=sim\n",
         )
         .unwrap();
-        let jobs = discover_jobs(&manifest, Target::Fpqa, &JobOptions::default()).unwrap();
+        let jobs = discover_jobs(&manifest, Target::default(), &JobOptions::default()).unwrap();
         assert_eq!(jobs.len(), 4);
-        assert_eq!(jobs[0].target, Target::Fpqa);
-        assert_eq!(jobs[1].target, Target::Superconducting);
+        assert_eq!(jobs[0].target.name(), "fpqa");
+        assert_eq!(jobs[1].target.name(), "superconducting");
         assert!(jobs[1].options.check);
         assert_eq!(jobs[1].options.gamma, 0.9);
         assert!(!jobs[2].options.compression);
         assert_eq!(jobs[2].options.ccz_fidelity, Some(0.95));
-        assert_eq!(jobs[3].target, Target::Simulator);
+        assert_eq!(jobs[3].target.name(), "simulator");
         assert!(matches!(
             &jobs[2].source,
             JobSource::Path(p) if p.ends_with("sub/three.cnf")
@@ -227,7 +231,7 @@ mod tests {
         std::fs::write(dir.join("b.wcnf"), "p wcnf 1 1 3\n2 1 0\n").unwrap();
         std::fs::write(dir.join("c.mc"), "1 2\n").unwrap();
         std::fs::write(dir.join("d.wq"), "qreg q[1];\nh q[0];\n").unwrap();
-        let jobs = discover_jobs(&dir, Target::Fpqa, &JobOptions::default()).unwrap();
+        let jobs = discover_jobs(&dir, Target::default(), &JobOptions::default()).unwrap();
         let names: Vec<String> = jobs
             .iter()
             .map(|j| match &j.source {
@@ -249,7 +253,7 @@ mod tests {
             "one.cnf\ntwo.mc frontend=mc\nthree.wq frontend=wqasm target=sim\n",
         )
         .unwrap();
-        let jobs = discover_jobs(&manifest, Target::Fpqa, &JobOptions::default()).unwrap();
+        let jobs = discover_jobs(&manifest, Target::default(), &JobOptions::default()).unwrap();
         assert_eq!(jobs[0].frontend, None);
         assert_eq!(
             jobs[1].frontend,
@@ -259,7 +263,7 @@ mod tests {
         assert_eq!(jobs[2].frontend, Some("wqasm".into()));
 
         std::fs::write(&manifest, "one.cnf\ntwo.cnf frontend=smtlib\n").unwrap();
-        let err = discover_jobs(&manifest, Target::Fpqa, &JobOptions::default()).unwrap_err();
+        let err = discover_jobs(&manifest, Target::default(), &JobOptions::default()).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         assert!(err.contains("unknown front end `smtlib`"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -270,7 +274,7 @@ mod tests {
         let dir = scratch_dir("badmanifest");
         let manifest = dir.join("bad.manifest");
         std::fs::write(&manifest, "ok.cnf\nbad.cnf target=ion-trap\n").unwrap();
-        let err = discover_jobs(&manifest, Target::Fpqa, &JobOptions::default()).unwrap_err();
+        let err = discover_jobs(&manifest, Target::default(), &JobOptions::default()).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -285,7 +289,8 @@ mod tests {
             ("ccz-fidelity", "-infinity"),
         ] {
             std::fs::write(&manifest, format!("ok.cnf\na.cnf {field}={value}\n")).unwrap();
-            let err = discover_jobs(&manifest, Target::Fpqa, &JobOptions::default()).unwrap_err();
+            let err =
+                discover_jobs(&manifest, Target::default(), &JobOptions::default()).unwrap_err();
             assert!(err.contains("line 2"), "{err}");
             assert!(
                 err.contains(&format!("bad number `{value}` for {field}")),
@@ -296,10 +301,32 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_ccz_fidelity_is_rejected_with_line_numbers() {
+        let dir = scratch_dir("cczrange");
+        let manifest = dir.join("ccz.manifest");
+        for value in ["1.5", "-0.1"] {
+            std::fs::write(&manifest, format!("ok.cnf\na.cnf ccz-fidelity={value}\n")).unwrap();
+            let err =
+                discover_jobs(&manifest, Target::default(), &JobOptions::default()).unwrap_err();
+            assert!(err.contains("line 2"), "{err}");
+            assert!(
+                err.contains(&format!("ccz-fidelity `{value}` is outside [0, 1]")),
+                "{err}"
+            );
+        }
+        // Both ends of the range are valid probabilities.
+        std::fs::write(&manifest, "a.cnf ccz-fidelity=0\nb.cnf ccz-fidelity=1\n").unwrap();
+        let jobs = discover_jobs(&manifest, Target::default(), &JobOptions::default()).unwrap();
+        assert_eq!(jobs[0].options.ccz_fidelity, Some(0.0));
+        assert_eq!(jobs[1].options.ccz_fidelity, Some(1.0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn missing_path_is_an_error() {
         let err = discover_jobs(
             Path::new("/definitely/not/here"),
-            Target::Fpqa,
+            Target::default(),
             &JobOptions::default(),
         )
         .unwrap_err();

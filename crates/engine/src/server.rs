@@ -660,7 +660,7 @@ fn handle_compile(
         return;
     };
     let target = match request.str_field("target") {
-        None => Target::Fpqa,
+        None => Target::default(),
         Some(t) => match Target::parse(t) {
             Ok(t) => t,
             Err(e) => {
@@ -668,6 +668,14 @@ fn handle_compile(
                 return;
             }
         },
+    };
+    let options = match job_options(request) {
+        Ok(options) => options,
+        Err(e) => {
+            shared.metrics.malformed_total.inc();
+            let _ = reply.send(error_record(Some(id), "malformed", &e));
+            return;
+        }
     };
     let name = request
         .str_field("name")
@@ -679,7 +687,7 @@ fn handle_compile(
         },
         frontend: request.str_field("frontend").map(str::to_string),
         target,
-        options: job_options(request),
+        options,
     };
     let emit = request
         .get("emit")
@@ -719,7 +727,8 @@ fn handle_compile(
 }
 
 /// Maps the manifest-style dashed option keys onto [`crate::JobOptions`].
-fn job_options(request: &JsonValue) -> crate::JobOptions {
+/// An out-of-range value is an error naming its field.
+fn job_options(request: &JsonValue) -> Result<crate::JobOptions, String> {
     let mut options = crate::JobOptions::default();
     let flag = |key: &str| request.get(key).and_then(JsonValue::as_bool);
     if let Some(v) = flag("check") {
@@ -741,9 +750,10 @@ fn job_options(request: &JsonValue) -> crate::JobOptions {
         options.beta = v;
     }
     if let Some(v) = request.get("ccz-fidelity").and_then(JsonValue::as_f64) {
+        let v = crate::job::check_ccz_fidelity(v).map_err(|e| format!("ccz-fidelity {e}"))?;
         options.ccz_fidelity = Some(v);
     }
-    options
+    Ok(options)
 }
 
 /// Starts a response record: its `kind`, then the request `id` if the

@@ -69,7 +69,7 @@ impl FpqaParams {
     pub fn with_ccz_fidelity(mut self, fidelity: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&fidelity),
-            "fidelity must be in (0, 1], got {fidelity}"
+            "fidelity must be in [0, 1], got {fidelity}"
         );
         self.fidelity_ccz = fidelity;
         self

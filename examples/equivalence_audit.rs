@@ -14,12 +14,17 @@ use weaver::wqasm::{Annotation, Statement};
 fn main() {
     let formula = generator::instance(8, 1);
     let weaver = Weaver::new();
-    let compiled = weaver.compile_fpqa(&formula);
+    let output = weaver
+        .compile_workload_cached("fpqa", &Workload::MaxSat(formula.clone()), None)
+        .expect("fpqa accepts every formula");
+    let CompiledArtifact::Fpqa(compiled) = &output.artifact else {
+        unreachable!("fpqa emits FPQA artifacts");
+    };
     let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
     let params = FpqaParams::default();
 
     // 1. The pristine program passes, including the full unitary check.
-    let report = checker::check(&compiled.compiled.program, &params, Some(&reference));
+    let report = checker::check(&compiled.program, &params, Some(&reference));
     println!(
         "pristine program : {} ({} pulses, {} motions checked, unitary={})",
         verdict(report.passed()),
@@ -30,7 +35,7 @@ fn main() {
     assert!(report.passed());
 
     // 2. Perturb one Raman angle: the pulse no longer implements its u3.
-    let mut mutated = compiled.compiled.program.clone();
+    let mut mutated = compiled.program.clone();
     'outer: for stmt in &mut mutated.statements {
         if let Statement::GateCall { annotations, .. } = stmt {
             for a in annotations {
@@ -51,7 +56,7 @@ fn main() {
 
     // 3. Corrupt a shuttle offset: atoms land on the wrong traps, so a
     //    later transfer or Rydberg group check must fail.
-    let mut mutated = compiled.compiled.program.clone();
+    let mut mutated = compiled.program.clone();
     'outer2: for stmt in &mut mutated.statements {
         if let Statement::GateCall { annotations, .. } = stmt {
             for a in annotations {
@@ -72,7 +77,7 @@ fn main() {
 
     // 4. Drop a @rydberg annotation: its logical gate loses its physical
     //    realization.
-    let mut mutated = compiled.compiled.program.clone();
+    let mut mutated = compiled.program.clone();
     for stmt in &mut mutated.statements {
         if let Statement::GateCall { annotations, .. } = stmt {
             let before = annotations.len();

@@ -83,7 +83,7 @@ fn main() {
     // the workload-level entry point.
     let weaver = Weaver::new();
     let output = weaver
-        .compile_workload("fpqa", &workload)
+        .compile_workload_cached("fpqa", &workload, None)
         .expect("the FPQA backend accepts any formula");
     let report = weaver
         .verify_workload(&output, &workload, None)

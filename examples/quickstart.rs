@@ -21,7 +21,13 @@ fn main() {
     // Compile down the FPQA path: clause coloring → color shuttling →
     // 3-qubit gate compression → wQasm + pulse schedule.
     let weaver = Weaver::new();
-    let result = weaver.compile_fpqa(&formula);
+    let workload = Workload::MaxSat(formula);
+    let result = weaver
+        .compile_workload_cached("fpqa", &workload, None)
+        .expect("fpqa accepts every formula");
+    let CompiledArtifact::Fpqa(compiled) = &result.artifact else {
+        unreachable!("fpqa emits FPQA artifacts");
+    };
 
     println!("\n--- metrics -------------------------------------------");
     println!(
@@ -35,11 +41,13 @@ fn main() {
     println!("EPS              : {:.4}", result.metrics.eps);
     println!("laser pulses     : {}", result.metrics.pulses);
     println!("motion ops       : {}", result.metrics.motion_ops);
-    println!("colors (stages)  : {}", result.compiled.coloring.num_colors);
+    println!("colors (stages)  : {}", compiled.coloring.num_colors);
 
     // Verify with the wChecker: every annotation is re-simulated on a fresh
     // device model and pulses are translated back to logical gates.
-    let report = weaver.verify(&result, &formula);
+    let report = weaver
+        .verify_workload(&result, &workload, None)
+        .expect("fpqa has a checker");
     println!("\n--- wChecker ------------------------------------------");
     println!("pulses checked   : {}", report.pulses_checked);
     println!("motions checked  : {}", report.motions_checked);
@@ -50,7 +58,7 @@ fn main() {
     assert!(report.passed(), "checker found: {:?}", report.errors);
 
     // The compiled program is ordinary wQasm text.
-    let text = weaver::wqasm::print(&result.compiled.program);
+    let text = weaver::wqasm::print(&compiled.program);
     let head: String = text.lines().take(12).collect::<Vec<_>>().join("\n");
     println!(
         "\n--- compiled wQasm (first 12 lines of {}) ----",

@@ -10,6 +10,7 @@ use weaver::prelude::*;
 
 fn main() {
     let formula = generator::instance(20, 1);
+    let workload = Workload::MaxSat(formula.clone());
     println!(
         "workload: uf20-01 ({} vars, {} clauses)\n",
         formula.num_vars(),
@@ -22,30 +23,36 @@ fn main() {
 
     let weaver = Weaver::new();
 
+    // Every target is reached the same way: by name, through the
+    // registry-dispatched pipeline.
+    let compile = |target: &str| {
+        weaver
+            .compile_workload_cached(target, &workload, None)
+            .unwrap_or_else(|e| panic!("{target}: {e}"))
+    };
+
     // Superconducting path.
-    let sc = weaver.compile_superconducting(&formula, &CouplingMap::ibm_washington());
+    let sc = compile("superconducting");
     print_row("Superconducting", &sc.metrics);
     println!(
         "    (SABRE inserted {} SWAPs on the heavy-hex map)",
-        sc.swap_count
+        sc.artifact.swap_count().unwrap_or_default()
     );
 
     // Weaver's FPQA path.
-    let fpqa = weaver.compile_fpqa(&formula);
+    let fpqa = compile("fpqa");
     print_row("Weaver", &fpqa.metrics);
+    let checked = weaver
+        .verify_workload(&fpqa, &workload, None)
+        .is_some_and(|report| report.passed());
     println!(
         "    ({} colors, wChecker: {})",
-        fpqa.compiled.coloring.num_colors,
-        if weaver.verify(&fpqa, &formula).passed() {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        fpqa.artifact.num_colors().unwrap_or_default(),
+        if checked { "PASS" } else { "FAIL" }
     );
 
-    // The ideal simulator target, reached like any other registered
-    // backend — by name through the registry-dispatched pipeline.
-    match weaver.compile_target("simulator", &formula) {
+    // The ideal simulator target.
+    match weaver.compile_workload_cached("simulator", &workload, None) {
         Ok(ideal) => {
             print_row("Simulator", &ideal.metrics);
             if let CompiledArtifact::Simulator(run) = &ideal.artifact {

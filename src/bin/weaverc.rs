@@ -72,25 +72,19 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 use weaver::core::backend::{BackendErrorKind, BackendRegistry, CompiledArtifact};
-use weaver::core::{CodegenOptions, FrontendRegistry, Weaver, Workload};
+use weaver::core::{FrontendRegistry, Workload};
 use weaver::engine::{
-    discover_jobs, job_record, CacheConfig, Engine, EngineConfig, JobOptions, Target,
+    check_ccz_fidelity, discover_jobs, job_record, CacheConfig, Engine, EngineConfig, JobOptions,
+    Target,
 };
-use weaver::fpqa::FpqaParams;
-use weaver::sat::qaoa::QaoaParams;
 
 struct Args {
     input: String,
     target: String,
     frontend: Option<String>,
     out: Option<String>,
-    compression: bool,
-    parallel_shuttling: bool,
-    dsatur: bool,
-    ccz_fidelity: Option<f64>,
-    gamma: f64,
-    beta: f64,
-    check: bool,
+    // The compile options every mode shares, built from the flags once.
+    options: JobOptions,
     // Observability surface (any mode): Chrome-trace / JSONL span export,
     // Prometheus metrics dump, and the `profile` per-pass breakdown.
     trace: Option<String>,
@@ -143,13 +137,7 @@ fn parse_args() -> Result<Args, String> {
         target: "fpqa".to_string(),
         frontend: None,
         out: None,
-        compression: true,
-        parallel_shuttling: true,
-        dsatur: true,
-        ccz_fidelity: None,
-        gamma: 0.7,
-        beta: 0.3,
-        check: false,
+        options: JobOptions::default(),
         trace: None,
         metrics_out: None,
         profile: false,
@@ -263,16 +251,17 @@ fn parse_args() -> Result<Args, String> {
             "--frontend" => args.frontend = Some(value(&mut it, "--frontend")?),
             // Single-shot only; batch writes artifacts via --out-dir.
             "--out" if !args.batch => args.out = Some(value(&mut it, "--out")?),
-            "--no-compression" => args.compression = false,
-            "--no-parallel-shuttling" => args.parallel_shuttling = false,
-            "--greedy-coloring" => args.dsatur = false,
+            "--no-compression" => args.options.compression = false,
+            "--no-parallel-shuttling" => args.options.parallel_shuttling = false,
+            "--greedy-coloring" => args.options.dsatur = false,
             "--ccz-fidelity" => {
-                args.ccz_fidelity =
-                    Some(number(value(&mut it, "--ccz-fidelity")?, "--ccz-fidelity")?)
+                let f = number(value(&mut it, "--ccz-fidelity")?, "--ccz-fidelity")?;
+                let f = check_ccz_fidelity(f).map_err(|e| format!("bad --ccz-fidelity: {e}"))?;
+                args.options.ccz_fidelity = Some(f);
             }
-            "--gamma" => args.gamma = number(value(&mut it, "--gamma")?, "--gamma")?,
-            "--beta" => args.beta = number(value(&mut it, "--beta")?, "--beta")?,
-            "--check" => args.check = true,
+            "--gamma" => args.options.gamma = number(value(&mut it, "--gamma")?, "--gamma")?,
+            "--beta" => args.options.beta = number(value(&mut it, "--beta")?, "--beta")?,
+            "--check" => args.options.check = true,
             "--trace" => args.trace = Some(value(&mut it, "--trace")?),
             "--metrics" => args.metrics_out = Some(value(&mut it, "--metrics")?),
             "--jobs" if args.batch => {
@@ -557,15 +546,6 @@ fn run_submit(args: &Args) -> ExitCode {
         Ok(t) => t,
         Err(e) => return error_line("unknown-target", &e),
     };
-    let defaults = JobOptions {
-        compression: args.compression,
-        parallel_shuttling: args.parallel_shuttling,
-        dsatur: args.dsatur,
-        ccz_fidelity: args.ccz_fidelity,
-        gamma: args.gamma,
-        beta: args.beta,
-        check: args.check,
-    };
     let registry = FrontendRegistry::global();
     if let Some(name) = &args.frontend {
         if registry.get(name).is_none() {
@@ -593,10 +573,10 @@ fn run_submit(args: &Args) -> ExitCode {
             source: JobSource::Path(path.to_path_buf()),
             frontend: args.frontend.clone(),
             target,
-            options: defaults,
+            options: args.options.clone(),
         }]
     } else {
-        let mut jobs = match discover_jobs(path, target, &defaults) {
+        let mut jobs = match discover_jobs(path, target, &args.options) {
             Ok(jobs) => jobs,
             Err(e) => return error_line("io", &e),
         };
@@ -822,15 +802,6 @@ fn run_batch(args: &Args) -> ExitCode {
         Ok(t) => t,
         Err(e) => return error_line("unknown-target", &e),
     };
-    let defaults = JobOptions {
-        compression: args.compression,
-        parallel_shuttling: args.parallel_shuttling,
-        dsatur: args.dsatur,
-        ccz_fidelity: args.ccz_fidelity,
-        gamma: args.gamma,
-        beta: args.beta,
-        check: args.check,
-    };
     if let Some(name) = &args.frontend {
         if FrontendRegistry::global().get(name).is_none() {
             return error_line(
@@ -839,7 +810,7 @@ fn run_batch(args: &Args) -> ExitCode {
             );
         }
     }
-    let mut jobs = match discover_jobs(std::path::Path::new(&args.input), target, &defaults) {
+    let mut jobs = match discover_jobs(std::path::Path::new(&args.input), target, &args.options) {
         Ok(jobs) => jobs,
         Err(e) => return error_line("io", &e),
     };
@@ -1071,23 +1042,11 @@ fn run_single(args: &Args) -> ExitCode {
         front.info().name
     );
 
-    let mut params = FpqaParams::default();
-    if let Some(f) = args.ccz_fidelity {
-        params = params.with_ccz_fidelity(f);
-    }
-    let options = CodegenOptions {
-        compression: args.compression,
-        parallel_shuttling: args.parallel_shuttling,
-        dsatur: args.dsatur,
-        qaoa: QaoaParams::single(args.gamma, args.beta),
-        measure: true,
-        ..CodegenOptions::default()
-    };
-    let weaver = Weaver::new().with_fpqa_params(params).with_options(options);
-
-    // One dispatch site: the backend registry resolves the target name (or
-    // alias) and compiles; per-target reporting reads the artifact variant.
-    let output = match weaver.compile_workload(&args.target, &workload) {
+    // The options map onto the compiler exactly as in batch mode, and the
+    // backend registry resolves the target name (or alias) and compiles;
+    // per-target reporting reads the artifact variant.
+    let weaver = args.options.weaver();
+    let output = match weaver.compile_workload_cached(&args.target, &workload, None) {
         Ok(output) => output,
         Err(e) if e.kind == BackendErrorKind::UnknownTarget => {
             return error_line("unknown-target", &e.message)
@@ -1145,7 +1104,7 @@ fn run_single(args: &Args) -> ExitCode {
             }
         }
     }
-    if args.check {
+    if args.options.check {
         match weaver.verify_workload(&output, &workload, None) {
             Some(report) if report.passed() => {
                 eprintln!(

@@ -25,15 +25,18 @@
 //! ```
 //! use weaver::prelude::*;
 //!
-//! let formula = weaver::sat::generator::instance(20, 1); // ≈ SATLIB uf20-01
+//! // ≈ SATLIB uf20-01
+//! let formula = Workload::MaxSat(weaver::sat::generator::instance(20, 1));
 //! let compiler = Weaver::new();
 //!
-//! // FPQA path: wOptimizer + wQasm codegen.
-//! let fpqa = compiler.compile_fpqa(&formula);
-//! assert!(compiler.verify(&fpqa, &formula).passed());
+//! // FPQA path: wOptimizer + wQasm codegen, checked by the wChecker.
+//! let fpqa = compiler.compile_workload_cached("fpqa", &formula, None).unwrap();
+//! assert!(compiler.verify_workload(&fpqa, &formula, None).unwrap().passed());
 //!
 //! // Superconducting path: SABRE onto the 127-qubit IBM Washington model.
-//! let sc = compiler.compile_superconducting(&formula, &CouplingMap::ibm_washington());
+//! let sc = compiler
+//!     .compile_workload_cached("superconducting", &formula, None)
+//!     .unwrap();
 //!
 //! // The paper's headline: higher fidelity on the FPQA path.
 //! assert!(fpqa.metrics.eps > sc.metrics.eps);
@@ -58,8 +61,7 @@ pub mod prelude {
     pub use weaver_circuit::{Circuit, Gate, NativeBasis};
     pub use weaver_core::{
         Backend, BackendRegistry, CacheHandle, CheckReport, CodegenOptions, CompileOutput,
-        CompiledArtifact, FpqaResult, Frontend, FrontendRegistry, Metrics, Weaver, Workload,
-        WorkloadKind,
+        CompiledArtifact, Frontend, FrontendRegistry, Metrics, Weaver, Workload, WorkloadKind,
     };
     pub use weaver_engine::{CompileJob, Engine, EngineConfig};
     pub use weaver_fpqa::{FpqaDevice, FpqaParams, PulseOp, PulseSchedule};

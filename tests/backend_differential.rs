@@ -4,11 +4,11 @@
 //! original targets — the wQasm text for FPQA, the routed circuit's program
 //! text for superconducting — and identical in every deterministic
 //! `Metrics` field. The pre-refactor paths are reconstructed inline here
-//! from the same building blocks the old `Weaver::compile_fpqa` /
-//! `Weaver::compile_superconducting` bodies used.
+//! from the same building blocks the pre-registry FPQA and superconducting
+//! compile bodies used.
 
-use weaver::core::backend::{BackendRegistry, CompiledArtifact};
-use weaver::core::{codegen, compress, plan, CodegenOptions, Metrics, Weaver};
+use weaver::core::backend::{BackendRegistry, CompileOutput, CompiledArtifact};
+use weaver::core::{codegen, coloring, compress, plan, CodegenOptions, Metrics, Weaver, Workload};
 use weaver::sat::{generator, qaoa, Formula};
 use weaver::superconducting::CouplingMap;
 
@@ -24,7 +24,8 @@ fn stable_metrics(m: &Metrics) -> (u64, u64, usize, usize, u64) {
 }
 
 /// The pre-refactor FPQA path, inlined: layout from device parameters, the
-/// §5.4 compression profitability gate, then direct codegen.
+/// §5.4 compression profitability gate, the coloring the options select,
+/// then direct codegen.
 fn direct_fpqa(weaver: &Weaver, formula: &Formula) -> (String, Metrics) {
     let mut options = weaver.options.clone();
     options.layout = plan::SiteLayout::for_params(&weaver.fpqa_params);
@@ -32,7 +33,18 @@ fn direct_fpqa(weaver: &Weaver, formula: &Formula) -> (String, Metrics) {
     if options.compression && !compress::compression_beneficial(&weaver.fpqa_params, typical_move) {
         options.compression = false;
     }
-    let compiled = codegen::compile_formula(formula, &weaver.fpqa_params, &options);
+    let coloring = if options.dsatur {
+        coloring::color_clauses(formula)
+    } else {
+        coloring::greedy_first_fit(&coloring::conflict_graph(formula))
+    };
+    let compiled = codegen::compile_formula_with_coloring_cached(
+        formula,
+        &weaver.fpqa_params,
+        &options,
+        coloring,
+        None,
+    );
     let metrics = Metrics::for_schedule(
         &compiled.schedule,
         &weaver.fpqa_params,
@@ -45,6 +57,13 @@ fn direct_fpqa(weaver: &Weaver, formula: &Formula) -> (String, Metrics) {
 
 /// The pre-refactor superconducting path, inlined: QAOA lowering + SABRE
 /// transpilation, program text via the circuit converter.
+/// Compiles `formula` for `target` through the registry.
+fn compile(weaver: &Weaver, target: &str, formula: &Formula) -> CompileOutput {
+    weaver
+        .compile_workload_cached(target, &Workload::MaxSat(formula.clone()), None)
+        .unwrap_or_else(|e| panic!("{target}: {e}"))
+}
+
 fn direct_superconducting(weaver: &Weaver, formula: &Formula) -> (String, usize, Metrics) {
     let circuit = qaoa::build_circuit(formula, &weaver.options.qaoa, weaver.options.measure);
     let result = weaver::superconducting::transpile(
@@ -64,9 +83,7 @@ fn fpqa_dispatch_is_byte_identical_to_direct_path() {
         let formula = generator::instance(20, variant);
         let weaver = Weaver::new();
         let (expected_qasm, expected_metrics) = direct_fpqa(&weaver, &formula);
-        let output = weaver
-            .compile_target("fpqa", &formula)
-            .expect("fpqa compiles");
+        let output = compile(&weaver, "fpqa", &formula);
         let CompiledArtifact::Fpqa(compiled) = &output.artifact else {
             panic!("fpqa artifact expected");
         };
@@ -95,9 +112,7 @@ fn fpqa_dispatch_matches_under_nondefault_options() {
             ..CodegenOptions::default()
         });
     let (expected_qasm, expected_metrics) = direct_fpqa(&weaver, &formula);
-    let output = weaver
-        .compile_target("fpqa", &formula)
-        .expect("fpqa compiles");
+    let output = compile(&weaver, "fpqa", &formula);
     let CompiledArtifact::Fpqa(compiled) = &output.artifact else {
         panic!("fpqa artifact expected");
     };
@@ -115,9 +130,7 @@ fn superconducting_dispatch_is_byte_identical_to_direct_path() {
         let weaver = Weaver::new();
         let (expected_qasm, expected_swaps, expected_metrics) =
             direct_superconducting(&weaver, &formula);
-        let output = weaver
-            .compile_target("superconducting", &formula)
-            .expect("sc compiles");
+        let output = compile(&weaver, "superconducting", &formula);
         let CompiledArtifact::Superconducting {
             circuit,
             swap_count,
@@ -141,40 +154,10 @@ fn superconducting_dispatch_is_byte_identical_to_direct_path() {
 }
 
 #[test]
-fn shims_equal_registry_dispatch() {
-    let formula = generator::instance(20, 5);
-    let weaver = Weaver::new();
-    // The surviving compile_fpqa / compile_superconducting shims are the
-    // same trait-dispatched path.
-    let shim = weaver.compile_fpqa(&formula);
-    let output = weaver.compile_target("fpqa", &formula).unwrap();
-    let CompiledArtifact::Fpqa(compiled) = &output.artifact else {
-        panic!("fpqa artifact expected");
-    };
-    assert_eq!(
-        weaver::wqasm::print(&shim.compiled.program),
-        weaver::wqasm::print(&compiled.program)
-    );
-    assert_eq!(
-        stable_metrics(&shim.metrics),
-        stable_metrics(&output.metrics)
-    );
-    let sc_shim = weaver.compile_superconducting(&formula, &CouplingMap::ibm_washington());
-    let sc_out = weaver.compile_target("sc", &formula).unwrap();
-    assert_eq!(Some(sc_shim.swap_count), sc_out.artifact.swap_count());
-    assert_eq!(
-        stable_metrics(&sc_shim.metrics),
-        stable_metrics(&sc_out.metrics)
-    );
-}
-
-#[test]
 fn simulator_target_compiles_through_the_registry() {
     let formula = generator::instance(10, 1);
     let weaver = Weaver::new();
-    let output = weaver
-        .compile_target("simulator", &formula)
-        .expect("sim compiles");
+    let output = compile(&weaver, "simulator", &formula);
     let CompiledArtifact::Simulator(run) = &output.artifact else {
         panic!("simulator artifact expected");
     };
@@ -182,7 +165,7 @@ fn simulator_target_compiles_through_the_registry() {
     assert_eq!(output.metrics.eps, run.optimal_probability);
     assert!(run.max_satisfied <= formula.num_clauses() as u64);
     // The alias resolves to the same backend and the run is deterministic.
-    let aliased = weaver.compile_target("sim", &formula).unwrap();
+    let aliased = compile(&weaver, "sim", &formula);
     assert_eq!(
         stable_metrics(&aliased.metrics),
         stable_metrics(&output.metrics)
@@ -230,9 +213,9 @@ fn every_pass_is_named_and_instrumented() {
 
 #[test]
 fn unknown_targets_are_structured_errors() {
-    let formula = generator::instance(10, 1);
+    let formula = Workload::MaxSat(generator::instance(10, 1));
     let err = Weaver::new()
-        .compile_target("ion-trap", &formula)
+        .compile_workload_cached("ion-trap", &formula, None)
         .unwrap_err();
     assert_eq!(
         err.kind,

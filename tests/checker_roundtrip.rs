@@ -4,28 +4,34 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use weaver::core::checker;
+use weaver::core::{checker, CompiledFpqa};
 use weaver::prelude::*;
 use weaver::sat::{qaoa, Formula};
 use weaver::wqasm::{Annotation, Statement};
 
-fn compile_small(variant: usize) -> (Formula, weaver::core::FpqaResult) {
+/// Compiles `formula` down the FPQA path.
+fn compile_fpqa_program(formula: &Formula) -> CompiledFpqa {
+    let output = Weaver::new()
+        .compile_workload_cached("fpqa", &Workload::MaxSat(formula.clone()), None)
+        .expect("fpqa accepts every formula");
+    let CompiledArtifact::Fpqa(compiled) = output.artifact else {
+        panic!("fpqa emits FPQA artifacts");
+    };
+    compiled
+}
+
+fn compile_small(variant: usize) -> (Formula, CompiledFpqa) {
     // 8 variables keeps the full unitary check in play.
     let formula = weaver::sat::generator::instance(8, variant);
-    let weaver = Weaver::new();
-    let result = weaver.compile_fpqa(&formula);
-    (formula, result)
+    let compiled = compile_fpqa_program(&formula);
+    (formula, compiled)
 }
 
 #[test]
 fn fig9_style_reconstruction() {
     let (formula, result) = compile_small(1);
     let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
-    let report = checker::check(
-        &result.compiled.program,
-        &FpqaParams::default(),
-        Some(&reference),
-    );
+    let report = checker::check(&result.program, &FpqaParams::default(), Some(&reference));
     assert!(report.passed(), "{:?}", report.errors);
 
     // Pulse-to-gate output contains the CZ/CCZ gates the Rydberg pulses
@@ -55,7 +61,7 @@ fn random_angle_perturbations_are_caught() {
     let mut caught = 0;
     let mut attempts = 0;
     for _ in 0..12 {
-        let mut program = result.compiled.program.clone();
+        let mut program = result.program.clone();
         // Pick a random raman-local annotation and perturb one angle.
         let mut raman_positions = Vec::new();
         for (si, stmt) in program.statements.iter().enumerate() {
@@ -94,7 +100,7 @@ fn random_angle_perturbations_are_caught() {
 fn transfer_index_corruption_is_caught() {
     let (formula, result) = compile_small(3);
     let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
-    let mut program = result.compiled.program.clone();
+    let mut program = result.program.clone();
     let mut corrupted = false;
     for stmt in &mut program.statements {
         if let Statement::GateCall { annotations, .. } = stmt {
@@ -121,7 +127,7 @@ fn swapped_rydberg_operands_still_pass() {
     // NOT trip the checker (sets are compared, not sequences).
     let (formula, result) = compile_small(4);
     let reference = qaoa::build_circuit(&formula, &QaoaParams::default(), false);
-    let mut program = result.compiled.program.clone();
+    let mut program = result.program.clone();
     for stmt in &mut program.statements {
         if let Statement::GateCall { name, qubits, .. } = stmt {
             if (name == "cz" || name == "ccz") && qubits.len() >= 2 {
@@ -137,13 +143,10 @@ fn swapped_rydberg_operands_still_pass() {
 fn checker_complexity_matches_program_size() {
     // §6: O(N²·M) — more clauses means proportionally more checks, and the
     // checker must stay fast enough to run on every compilation.
-    let weaver = Weaver::new();
-    let f_small = weaver::sat::generator::instance(8, 1);
-    let f_large = weaver::sat::generator::instance(20, 1);
-    let small = weaver.compile_fpqa(&f_small);
-    let large = weaver.compile_fpqa(&f_large);
-    let r_small = checker::check(&small.compiled.program, &FpqaParams::default(), None);
-    let r_large = checker::check(&large.compiled.program, &FpqaParams::default(), None);
+    let small = compile_fpqa_program(&weaver::sat::generator::instance(8, 1));
+    let large = compile_fpqa_program(&weaver::sat::generator::instance(20, 1));
+    let r_small = checker::check(&small.program, &FpqaParams::default(), None);
+    let r_large = checker::check(&large.program, &FpqaParams::default(), None);
     assert!(r_small.passed() && r_large.passed());
     assert!(r_large.pulses_checked > r_small.pulses_checked);
     assert!(r_large.motions_checked > r_small.motions_checked);

@@ -439,6 +439,44 @@ fn non_finite_options_are_rejected_before_compiling() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn out_of_range_ccz_fidelity_is_a_usage_error() {
+    // A fidelity outside [0, 1] is a usage error, never a panic (exit 101)
+    // in `FpqaParams`' assertion.
+    let cnf = format!("{}/uf20-01.cnf", fixtures_dir());
+    for value in ["1.5", "-0.5"] {
+        let out = weaverc()
+            .args([&cnf, "--ccz-fidelity", value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--ccz-fidelity {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad --ccz-fidelity: `{value}` is outside [0, 1]")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("weaverc_cczrange_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(&cnf, dir.join("a.cnf")).unwrap();
+    let manifest = dir.join("ccz.manifest");
+    std::fs::write(&manifest, "a.cnf\na.cnf ccz-fidelity=1.5\n").unwrap();
+    let out = weaverc()
+        .args(["batch", manifest.to_str().unwrap(), "--jobs", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 2: ccz-fidelity `1.5` is outside [0, 1]"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn fixtures_dir() -> String {
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures").to_string()
 }

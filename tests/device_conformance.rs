@@ -21,9 +21,10 @@
 
 use proptest::prelude::*;
 use weaver::core::backend::{
-    Backend, BackendErrorKind, BackendRegistry, CompiledArtifact, SuperconductingBackend,
+    Backend, BackendError, BackendErrorKind, BackendRegistry, CompileOutput, CompiledArtifact,
+    SuperconductingBackend,
 };
-use weaver::core::Weaver;
+use weaver::core::{Weaver, Workload};
 use weaver::engine::{CompileJob, Engine, EngineConfig, Target};
 use weaver::sat::{generator, Formula};
 use weaver::superconducting::{sabre, CouplingMap, DeviceSpec};
@@ -42,10 +43,18 @@ fn family() -> Vec<String> {
     names
 }
 
+/// Compiles `formula` for `target` through the registry.
+fn compile_to(
+    weaver: &Weaver,
+    target: &str,
+    formula: &Formula,
+) -> Result<CompileOutput, BackendError> {
+    weaver.compile_workload_cached(target, &Workload::MaxSat(formula.clone()), None)
+}
+
 fn compile(device: &str, formula: &Formula) -> (String, usize) {
-    let out = Weaver::new()
-        .compile_target(device, formula)
-        .unwrap_or_else(|e| panic!("{device}: {e}"));
+    let out =
+        compile_to(&Weaver::new(), device, formula).unwrap_or_else(|e| panic!("{device}: {e}"));
     assert_eq!(out.backend, device, "canonical name flows into the output");
     let swaps = out.artifact.swap_count().expect("routed artifact");
     (out.artifact.print_wqasm(), swaps)
@@ -56,7 +65,7 @@ fn every_device_routes_legally() {
     let formula = generator::instance(10, 1);
     for device in family() {
         let spec = DeviceSpec::resolve(&device).unwrap();
-        let out = Weaver::new().compile_target(&device, &formula).unwrap();
+        let out = compile_to(&Weaver::new(), &device, &formula).unwrap();
         let CompiledArtifact::Superconducting { circuit, .. } = &out.artifact else {
             panic!("{device}: expected a routed circuit");
         };
@@ -79,13 +88,13 @@ fn preconditions_are_structured_errors_not_panics() {
     // Too many qubits for every small device: a typed Unsupported error.
     let wide = generator::instance(50, 1);
     for device in ["sc:grid:2x2", "sc:grid:4x5", "sc:grid:7x7"] {
-        let err = weaver.compile_target(device, &wide).unwrap_err();
+        let err = compile_to(&weaver, device, &wide).unwrap_err();
         assert_eq!(err.kind, BackendErrorKind::Unsupported, "{device}");
         assert!(err.message.contains("exceed"), "{device}: {err}");
     }
     // Unknown devices and malformed grids: typed UnknownTarget errors.
     for bad in ["sc:osprey", "sc:grid:0x4", "sc:grid:4x", "sc:grid:900x900"] {
-        let err = weaver.compile_target(bad, &wide).unwrap_err();
+        let err = compile_to(&weaver, bad, &wide).unwrap_err();
         assert_eq!(err.kind, BackendErrorKind::UnknownTarget, "{bad}");
     }
     // A disconnected custom coupling map is a typed routing error through
@@ -170,11 +179,18 @@ fn engine_batch_over_the_family_is_deterministic_and_cached() {
 fn device_keys_separate_from_core_targets() {
     let formula = generator::instance(10, 1);
     let mut keys = std::collections::HashSet::new();
-    let mut targets = vec![Target::Fpqa, Target::Superconducting, Target::Simulator];
-    targets.extend(Target::builtin_devices());
-    targets.push(Target::ScDevice("sc:grid:4x5".to_string()));
-    let workload = weaver::core::Workload::MaxSat(formula.clone());
-    for target in targets {
+    let workload = Workload::MaxSat(formula.clone());
+    for name in [
+        "fpqa",
+        "superconducting",
+        "simulator",
+        "sc:line",
+        "sc:grid",
+        "sc:eagle",
+        "sc:heron",
+        "sc:grid:4x5",
+    ] {
+        let target = Target::parse(name).unwrap();
         let mut job = CompileJob::from_formula("key-probe", formula.clone());
         job.target = target.clone();
         assert!(
@@ -192,8 +208,8 @@ fn eagle_is_byte_identical_to_the_legacy_superconducting_target() {
     for variant in 1..=3 {
         let formula = generator::instance(20, variant);
         let weaver = Weaver::new();
-        let legacy = weaver.compile_target("superconducting", &formula).unwrap();
-        let eagle = weaver.compile_target("sc:eagle", &formula).unwrap();
+        let legacy = compile_to(&weaver, "superconducting", &formula).unwrap();
+        let eagle = compile_to(&weaver, "sc:eagle", &formula).unwrap();
         assert_eq!(
             eagle.artifact.print_wqasm(),
             legacy.artifact.print_wqasm(),
@@ -212,7 +228,7 @@ fn line_is_byte_identical_to_the_preexisting_backend_with_line_coupling() {
     let weaver = Weaver::new();
     for variant in 1..=3 {
         let formula = generator::instance(20, variant);
-        let family_out = weaver.compile_target("sc:line", &formula).unwrap();
+        let family_out = compile_to(&weaver, "sc:line", &formula).unwrap();
         let direct = SuperconductingBackend::with_coupling(CouplingMap::line(127))
             .compile(&weaver, &formula, None)
             .unwrap();

@@ -5,7 +5,7 @@
 //! mixed-frontend batches stay deterministic under the engine.
 
 use std::path::Path;
-use weaver::core::{FrontendRegistry, Weaver, Workload};
+use weaver::core::{BackendRegistry, FrontendRegistry, Weaver, Workload};
 use weaver::engine::{discover_jobs, CompileJob, Engine, EngineConfig, JobOptions, Target};
 use weaver::sat::dimacs;
 
@@ -66,9 +66,10 @@ fn every_frontend_reports_positions_on_garbage() {
 
 /// The differential proof: every existing `.cnf` fixture compiles
 /// byte-identically whether the formula takes the legacy path
-/// (`dimacs::parse` + `compile_target`) or the frontend path
-/// (registry-resolved parse + `compile_workload`), on every registered
-/// core target — same wQasm, same metrics, same artifact key inputs.
+/// (`dimacs::parse` + the backend's formula entry point `Backend::compile`)
+/// or the frontend path (registry-resolved parse +
+/// `Weaver::compile_workload_cached`), on every registered core target —
+/// same wQasm, same metrics, same artifact key inputs.
 #[test]
 fn cnf_fixtures_compile_identically_through_the_frontend_path() {
     let registry = FrontendRegistry::global();
@@ -89,8 +90,11 @@ fn cnf_fixtures_compile_identically_through_the_frontend_path() {
         assert_eq!(workload, Workload::MaxSat(legacy.clone()));
         assert_eq!(workload.canonical_bytes(), legacy.canonical_bytes());
         for target in ["fpqa", "superconducting", "simulator"] {
-            let old = weaver.compile_target(target, &legacy).unwrap();
-            let new = weaver.compile_workload(target, &workload).unwrap();
+            let backend = BackendRegistry::global().resolve(target).unwrap();
+            let old = backend.compile(&weaver, &legacy, None).unwrap();
+            let new = weaver
+                .compile_workload_cached(target, &workload, None)
+                .unwrap();
             assert_eq!(
                 old.artifact.print_wqasm(),
                 new.artifact.print_wqasm(),
@@ -140,8 +144,12 @@ fn weight_one_wcnf_is_byte_identical_to_cnf() {
     );
     let weaver = Weaver::new();
     for target in ["fpqa", "superconducting", "simulator"] {
-        let a = weaver.compile_workload(target, &plain).unwrap();
-        let b = weaver.compile_workload(target, &weighted).unwrap();
+        let a = weaver
+            .compile_workload_cached(target, &plain, None)
+            .unwrap();
+        let b = weaver
+            .compile_workload_cached(target, &weighted, None)
+            .unwrap();
         assert_eq!(
             a.artifact.print_wqasm(),
             b.artifact.print_wqasm(),
@@ -183,7 +191,7 @@ fn distinct_workloads_get_distinct_artifact_keys() {
 #[test]
 fn mixed_frontend_batches_are_deterministic() {
     let manifest = fixtures_dir().join("mixed-frontends.manifest");
-    let jobs = discover_jobs(&manifest, Target::Fpqa, &JobOptions::default()).unwrap();
+    let jobs = discover_jobs(&manifest, Target::default(), &JobOptions::default()).unwrap();
     assert_eq!(jobs.len(), 8);
 
     let reference_engine = Engine::new(EngineConfig {
@@ -249,7 +257,7 @@ fn mixed_frontend_batches_are_deterministic() {
 #[test]
 fn engine_rejects_circuits_on_formula_only_targets() {
     let mut circuit_job = CompileJob::from_path(fixtures_dir().join("bell.wq"));
-    circuit_job.target = Target::Fpqa;
+    circuit_job.target = Target::parse("fpqa").unwrap();
     let good_job = CompileJob::from_path(fixtures_dir().join("uf20-01.cnf"));
     let engine = Engine::new(EngineConfig {
         jobs: 2,

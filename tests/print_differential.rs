@@ -361,7 +361,7 @@ fn every_fixture_prints_like_the_reference_on_every_target() {
                 continue;
             }
             let out = weaver
-                .compile_workload(target, &workload)
+                .compile_workload_cached(target, &workload, None)
                 .unwrap_or_else(|e| panic!("{name} on {target}: {e}"));
             assert_eq!(
                 out.artifact.print_wqasm(),

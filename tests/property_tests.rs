@@ -11,6 +11,18 @@ use weaver::wqasm;
 
 // ---- generators -------------------------------------------------------------
 
+/// Compiles generated instance `(vars, seed)` down the FPQA path.
+fn compile_fpqa_program(vars: usize, seed: usize) -> weaver::core::CompiledFpqa {
+    let workload = weaver::core::Workload::MaxSat(weaver::sat::generator::instance(vars, seed));
+    let output = weaver::core::Weaver::new()
+        .compile_workload_cached("fpqa", &workload, None)
+        .expect("fpqa accepts every formula");
+    let weaver::core::CompiledArtifact::Fpqa(compiled) = output.artifact else {
+        panic!("fpqa emits FPQA artifacts");
+    };
+    compiled
+}
+
 fn arb_gate(num_qubits: usize) -> impl Strategy<Value = (Gate, Vec<usize>)> {
     let q = 0..num_qubits;
     let angle = -3.2f64..3.2f64;
@@ -120,27 +132,25 @@ proptest! {
     /// the pulse/motion structure.
     #[test]
     fn wqasm_roundtrip_on_compiled(seed in 1usize..40) {
-        let f = weaver::sat::generator::instance(6, seed);
-        let result = weaver::core::Weaver::new().compile_fpqa(&f);
-        let text = wqasm::print(&result.compiled.program);
+        let result = compile_fpqa_program(6, seed);
+        let text = wqasm::print(&result.program);
         let reparsed = wqasm::parse(&text).expect("reparse");
         let reparsed2 = wqasm::parse(&wqasm::print(&reparsed)).expect("reparse twice");
         prop_assert_eq!(&reparsed2, &reparsed);
-        prop_assert_eq!(reparsed.pulse_count(), result.compiled.program.pulse_count());
-        prop_assert_eq!(reparsed.motion_count(), result.compiled.program.motion_count());
+        prop_assert_eq!(reparsed.pulse_count(), result.program.pulse_count());
+        prop_assert_eq!(reparsed.motion_count(), result.program.motion_count());
     }
 
     /// EPS is always a probability, and adding pulses never raises it.
     #[test]
     fn eps_is_monotone_probability(seed in 1usize..30) {
         use weaver::fpqa::{eps, FpqaParams, PulseOp, PulseSchedule};
-        let f = weaver::sat::generator::instance(8, seed);
-        let result = weaver::core::Weaver::new().compile_fpqa(&f);
+        let result = compile_fpqa_program(8, seed);
         let params = FpqaParams::default();
-        let e = eps(&result.compiled.schedule, &params, 8);
+        let e = eps(&result.schedule, &params, 8);
         prop_assert!(e > 0.0 && e <= 1.0);
         let mut longer = PulseSchedule::new();
-        longer.append_schedule(&result.compiled.schedule);
+        longer.append_schedule(&result.schedule);
         longer.push(PulseOp::Rydberg { groups: vec![vec![0, 1]] });
         prop_assert!(eps(&longer, &params, 8) <= e);
     }

@@ -470,3 +470,78 @@ fn sequential_tcp_pings_do_not_stall_per_frame() {
     flag.store(true, Ordering::SeqCst);
     handle.join().unwrap().expect("clean drain");
 }
+
+#[test]
+fn out_of_range_options_are_typed_errors_and_never_wedge_a_worker() {
+    // A CCZ fidelity outside [0, 1] trips `FpqaParams`' assertion if it
+    // reaches the compiler; with one worker, a panic that escapes the
+    // job's panic boundary leaves every later compile queued forever. The
+    // daemon must answer with a typed error and keep compiling.
+    let dir = tdir("ccz-range");
+    let (addr, flag, handle) = start(ServerConfig {
+        engine: EngineConfig {
+            jobs: 1,
+            cache: CacheConfig::default(),
+            use_cache: false,
+        },
+        queue_bound: 8,
+        panic_verb: false,
+        ..ServerConfig::new(ListenAddr::Unix(dir.join("weaverd.sock")))
+    });
+    let text = std::fs::read_to_string("tests/fixtures/uf20-01.cnf").unwrap();
+    let bad = JsonObject::new()
+        .str("verb", "compile")
+        .u64("id", 0)
+        .str("text", &text)
+        .str("target", "fpqa")
+        .f64("ccz-fidelity", 1.5)
+        .finish();
+    let good = compile_request(1, "tests/fixtures/uf20-01.cnf", "dimacs", "fpqa", false);
+
+    // The client lives on its own thread; the test thread is a
+    // no-progress watchdog, so a wedged daemon fails the test instead of
+    // hanging it (the stuck client and server are never joined).
+    let (records_tx, records) = std::sync::mpsc::channel();
+    let client_addr = addr.clone();
+    let client = std::thread::spawn(move || {
+        let mut stream = ClientStream::connect(&client_addr).expect("connect");
+        for request in [&bad, &good] {
+            write_frame(&mut stream, request.as_bytes()).expect("send");
+        }
+        for _ in 0..2 {
+            let frame = read_frame(&mut stream).expect("receive").expect("open");
+            let record = JsonValue::parse(std::str::from_utf8(&frame).unwrap()).unwrap();
+            records_tx.send(record).expect("watchdog listening");
+        }
+    });
+    let mut by_id = std::collections::HashMap::new();
+    while by_id.len() < 2 {
+        let record = records
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|_| {
+                panic!(
+                    "daemon wedged: no record in 30 s ({} of 2 received)",
+                    by_id.len()
+                )
+            });
+        let id = record.get("id").and_then(JsonValue::as_u64).expect("id");
+        by_id.insert(id, record);
+    }
+    client.join().expect("client thread");
+
+    let rejected = &by_id[&0];
+    assert_eq!(rejected.str_field("kind"), Some("error"));
+    assert_eq!(rejected.str_field("error_kind"), Some("malformed"));
+    let message = rejected.str_field("error").unwrap();
+    assert!(
+        message.contains("ccz-fidelity") && message.contains("[0, 1]"),
+        "{message}"
+    );
+    let compiled = &by_id[&1];
+    assert_eq!(compiled.str_field("kind"), Some("job"));
+    assert_eq!(compiled.str_field("status"), Some("ok"), "{compiled:?}");
+
+    flag.store(true, Ordering::SeqCst);
+    handle.join().unwrap().expect("clean drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
